@@ -215,12 +215,18 @@ def run_e2e_experiment(harness, machine):
         assert out[f"{key}_arena_steady_grows"] == 0
         assert out[f"{key}_arena_steady_hits"] > 0
 
-    # The kernels report through their own counters.
+    # The kernels report through their own counters: the segmented
+    # kernel runs once per rank tile, the atomic reference per stripe.
     total_stripes = plan.total_async_stripes()
-    for mode, field in (("segmented", 0), ("atomic", 1)):
+    total_tiles = sum(
+        len(r.async_matrix.program().tiles(K * 8)) for r in plan.ranks
+    )
+    for mode, field, calls in (
+        ("segmented", 0, total_tiles), ("atomic", 1, total_stripes)
+    ):
         for width in (1, POOLED_WIDTH):
             delta = scatter_deltas[f"{mode}_w{width}"]
-            assert delta[field] == E2E_REPEATS * total_stripes
+            assert delta[field] == E2E_REPEATS * calls
             assert delta[1 - field] == 0
 
     out["simulated_seconds"] = reference.seconds

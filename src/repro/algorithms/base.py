@@ -46,6 +46,10 @@ class SpMMResult:
         extras: algorithm-specific diagnostics.
         events: recorded communication operations, in issue order
             (capped; see ``repro.cluster.simmpi.MAX_RECORDED_EVENTS``).
+            Constructed from a list, or from the :class:`SimMPI` that
+            recorded them — then the event objects are only built when
+            this attribute is first read (always the same list, so
+            holders of an earlier read see later appends).
     """
 
     algorithm: str
@@ -56,13 +60,27 @@ class SpMMResult:
     failed: bool = False
     failure: Optional[str] = None
     extras: Dict[str, Any] = field(default_factory=dict)
-    events: list = field(default_factory=list)
+    events: Any = field(default_factory=list, repr=False)
 
     def speedup_over(self, other: "SpMMResult") -> float:
         """``other.seconds / self.seconds`` (paper-style speedup)."""
         if self.failed or other.failed:
             raise ValueError("cannot compare failed results")
         return other.seconds / self.seconds
+
+
+def _read_events(self: SpMMResult) -> list:
+    source = self._event_source
+    return source.events if isinstance(source, SimMPI) else source
+
+
+def _store_events(self: SpMMResult, source) -> None:
+    self._event_source = source
+
+
+# Installed after the dataclass machinery so ``events=`` stays the
+# constructor keyword while reads go through the lazy accessor.
+SpMMResult.events = property(_read_events, _store_events)
 
 
 @dataclass
@@ -186,7 +204,7 @@ class DistSpMMAlgorithm(abc.ABC):
                 traffic=mpi.traffic,
                 failed=True,
                 failure=str(oom),
-                events=mpi.events,
+                events=mpi,
             )
             self._attach_fault_extras(result, cluster, resil_before)
             return result
@@ -197,7 +215,7 @@ class DistSpMMAlgorithm(abc.ABC):
             breakdown=breakdown,
             traffic=mpi.traffic,
             extras=self._extras(ctx),
-            events=mpi.events,
+            events=mpi,
         )
         self._attach_fault_extras(result, cluster, resil_before)
         return result

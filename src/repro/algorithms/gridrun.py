@@ -254,7 +254,7 @@ def run_on_grid(
             failed=True,
             failure=str(oom),
             extras={"grid": grid.describe()},
-            events=parent_mpi.events,
+            events=parent_mpi,
         )
         algorithm._attach_fault_extras(result, cluster, resil_before)
         return result
@@ -266,7 +266,7 @@ def run_on_grid(
         breakdown=breakdown,
         traffic=parent_mpi.traffic,
         extras=extras,
-        events=parent_mpi.events,
+        events=parent_mpi,
     )
     algorithm._attach_fault_extras(result, cluster, resil_before)
     return result

@@ -278,7 +278,8 @@ class TwoFaceSDDMM(_SDDMMBase):
                 fetched = mpi.rget_row_chunks(
                     rank, stripe.owner, Y_dist.block(stripe.owner),
                     schedule.chunk_offsets, schedule.chunk_sizes,
-                    label="async_rows", rows=schedule.local_rows(),
+                    label="async_rows",
+                    rows=schedule.fetched_ids - block_start,
                     charge_time=False,
                 )
                 comm_seconds += net.rget_time(

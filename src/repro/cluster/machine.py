@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..errors import ConfigurationError, ExecutorCrashError, OutOfMemoryError
 from .faults import FaultConfig, compile_faults
 from .network import ComputeModel, NetworkModel
@@ -110,6 +112,35 @@ class MemoryLedger:
         nbytes = self._allocations.pop(name, 0)
         self._current -= nbytes
         return nbytes
+
+    def allocate_streamed(self, name: str, sizes: np.ndarray) -> int:
+        """Charge a stream of requests that reuse one buffer.
+
+        Equivalent, mutation for mutation, to ``allocate(name,
+        sizes[0])`` followed by ``free(name); allocate(name, size)``
+        for every later size — each request's bytes are released when
+        the next one lands, and the last stays charged under ``name``.
+        Instead of raising, the replay stops before the first
+        allocation that does not fit (its predecessor already freed)
+        and returns how many were charged; calling
+        ``allocate(name, sizes[n])`` then raises exactly the
+        :class:`OutOfMemoryError` the per-request sequence would have.
+        """
+        if not len(sizes) or self._current + int(sizes[0]) > self._capacity:
+            return 0
+        self.allocate(name, int(sizes[0]))
+        rest = sizes[1:]
+        if not len(rest):
+            return 1
+        self.free(name)
+        base = self._current
+        over = np.flatnonzero(base + rest > self._capacity)
+        fit = int(over[0]) if len(over) else len(rest)
+        if fit:
+            self.peak = max(self.peak, base + int(rest[:fit].max()))
+        if fit == len(rest):
+            self.allocate(name, int(rest[-1]))
+        return 1 + fit
 
 
 class SimNode:

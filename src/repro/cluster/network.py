@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 
@@ -117,14 +119,16 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # One-sided
     # ------------------------------------------------------------------
-    def rget_time(self, nbytes: int, n_chunks: int = 1) -> float:
+    def rget_time(self, nbytes, n_chunks=1):
         """Cost of one MPI_Rget with an indexed datatype of ``n_chunks``.
 
         Row coalescing (§5.2.3) reduces ``n_chunks``; each chunk adds a
         fraction of the request overhead because the datatype engine
-        walks it separately.
+        walks it separately.  Both arguments may be equal-length integer
+        arrays (one entry per request); each element then goes through
+        the same IEEE operations, in the same order, as a scalar call.
         """
-        if n_chunks <= 0:
+        if np.any(np.less_equal(n_chunks, 0)):
             raise ConfigurationError(f"n_chunks must be positive: {n_chunks}")
         chunk_overhead = 0.15 * self.alpha_rget * (n_chunks - 1)
         return self.alpha_rget + chunk_overhead + self.beta_rget * nbytes

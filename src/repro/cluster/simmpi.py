@@ -109,23 +109,57 @@ class _EventRing:
             grown = np.empty(2 * len(buf), dtype=self._DTYPE)
             grown[:i] = buf
             self._buf = buf = grown
-        code = self._kind_codes.get(kind)
-        if code is None:
-            code = len(self._kinds)
-            self._kind_codes[kind] = code
-            self._kinds.append(kind)
-        detail_code = self._detail_codes.get(detail)
-        if detail_code is None:
-            detail_code = len(self._details)
-            self._detail_codes[detail] = detail_code
-            self._details.append(detail)
         row = buf[i]
-        row["kind"] = code
+        row["kind"] = self._intern(self._kind_codes, self._kinds, kind)
         row["source"] = source
         row["destination"] = destination
         row["nbytes"] = nbytes
-        row["detail"] = detail_code
+        row["detail"] = self._intern(
+            self._detail_codes, self._details, detail
+        )
         self.count = i + 1
+
+    def _intern(self, codes: Dict[str, int], pool: List[str],
+                text: str) -> int:
+        code = codes.get(text)
+        if code is None:
+            code = codes[text] = len(pool)
+            pool.append(text)
+        return code
+
+    def extend(
+        self, kinds: List[str], kind_of, sources, destinations, nbytes,
+        details: List[str], detail_of,
+    ) -> None:
+        """Append ``len(nbytes)`` rows as that many :meth:`append` calls
+        would: same rows, same order, same side pools.
+
+        ``kinds`` / ``details`` hold the rows' distinct strings in order
+        of first appearance (so they are interned in that order);
+        ``kind_of`` / ``detail_of`` index them per row.  The per-row
+        arguments are arrays or, where every row agrees, scalars.
+        """
+        n = len(nbytes)
+        lo = self.count
+        buf = self._buf
+        if lo + n > len(buf):
+            grown = np.empty(max(2 * len(buf), lo + n), dtype=self._DTYPE)
+            grown[:lo] = buf[:lo]
+            self._buf = buf = grown
+        rows = buf[lo:lo + n]
+        rows["kind"] = np.array(
+            [self._intern(self._kind_codes, self._kinds, k) for k in kinds],
+            dtype=np.int16,
+        )[kind_of]
+        rows["source"] = sources
+        rows["destination"] = destinations
+        rows["nbytes"] = nbytes
+        rows["detail"] = np.array(
+            [self._intern(self._detail_codes, self._details, d)
+             for d in details],
+            dtype=np.int32,
+        )[detail_of]
+        self.count = lo + n
 
     def view(self) -> List[CommEvent]:
         """The events as a plain list, materialised on demand.
@@ -190,6 +224,47 @@ class _OneSidedCharge:
         mpi.traffic.onesided_requests += 1
         mpi.traffic._recv(self.origin, self.nbytes)
         mpi._log("rget", self.target, self.origin, self.nbytes, self.detail)
+
+
+@dataclass(frozen=True)
+class _OneSidedBatch:
+    """Accounting of a stream of MPI_Rgets landing in one reused buffer.
+
+    One record stands for ``len(nbytes)`` requests issued back to back
+    by ``origin``; applying it leaves every piece of shared state —
+    ledger (including its peak), traffic counters, event log — exactly
+    as applying one :class:`_OneSidedCharge` per request would, with a
+    ``free(label)`` between consecutive requests (each request's rows
+    are consumed before the next lands; the last stays charged, as
+    after a single get).  An allocation that does not fit raises the
+    same :class:`~repro.errors.OutOfMemoryError` at the same request,
+    with the same prefix applied.  Clock time is charged by the caller
+    into the breakdown, not here.
+    """
+
+    origin: int
+    targets: np.ndarray
+    nbytes: np.ndarray
+    n_chunks: np.ndarray
+    label: str
+    charge_memory: bool
+
+    def apply(self, mpi: "SimMPI") -> None:
+        n = len(self.nbytes)
+        done = n
+        if self.charge_memory:
+            ledger = mpi.cluster.node(self.origin).memory
+            done = ledger.allocate_streamed(self.label, self.nbytes)
+        moved = int(self.nbytes[:done].sum())
+        mpi.traffic.onesided_bytes += moved
+        mpi.traffic.onesided_requests += done
+        mpi.traffic._recv(self.origin, moved)
+        mpi._log_rgets(
+            self.targets[:done], self.origin, self.nbytes[:done],
+            self.n_chunks[:done], self.label,
+        )
+        if done < n:
+            ledger.allocate(self.label, int(self.nbytes[done]))
 
 
 @dataclass(frozen=True)
@@ -350,6 +425,31 @@ class SimMPI:
             return
         if self._ring.count < MAX_RECORDED_EVENTS:
             self._ring.append(kind, source, destination, nbytes, detail)
+        else:
+            self._count_dropped(1)
+
+    def _log_rgets(
+        self, targets: np.ndarray, origin: int, nbytes: np.ndarray,
+        n_chunks: np.ndarray, label: str,
+    ) -> None:
+        """:meth:`_log` for a stream of rgets, in one ring append."""
+        if not self._record:
+            return
+        kept = min(len(nbytes), MAX_RECORDED_EVENTS - self._ring.count)
+        if kept:
+            counts = n_chunks[:kept].tolist()
+            # Distinct chunk counts, in order of first appearance.
+            code = {c: i for i, c in enumerate(dict.fromkeys(counts))}
+            self._ring.extend(
+                ["rget"], 0, targets[:kept], origin, nbytes[:kept],
+                [f"{label}:{c}chunks" for c in code],
+                np.fromiter(map(code.__getitem__, counts), np.intp, kept),
+            )
+        self._count_dropped(len(nbytes) - kept)
+
+    def _count_dropped(self, dropped: int) -> None:
+        """Count events the full log could not retain; warn on the first."""
+        if dropped <= 0:
             return
         if self.traffic.events_dropped == 0:
             warnings.warn(
@@ -357,9 +457,9 @@ class SimMPI:
                 "entries; further events are counted in "
                 "TrafficStats.events_dropped but not retained",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-        self.traffic.events_dropped += 1
+        self.traffic.events_dropped += dropped
 
     @property
     def n_nodes(self) -> int:
@@ -588,15 +688,22 @@ class SimMPI:
         for sub_dim, nbytes in s.dim_bytes.items():
             t.add_dim_bytes(sub_dim, nbytes)
         t.add_dim_bytes(dim, s.total_bytes)
-        for ev in sub.events:
-            self._log(
-                ev.kind,
-                ranks[ev.source] if ev.source >= 0 else ev.source,
-                ranks[ev.destination] if ev.destination >= 0
-                else ev.destination,
-                ev.nbytes,
-                ev.detail,
+        # Ring to ring: the layer's events are never materialised.
+        ring = sub._ring
+        n = ring.count
+        kept = min(n, MAX_RECORDED_EVENTS - self._ring.count)
+        if self._record and kept:
+            rows = ring._buf[:kept]
+            to_global = np.append(np.asarray(ranks), -1)  # -1 stays -1
+            self._ring.extend(
+                ring._kinds[:int(rows["kind"].max()) + 1], rows["kind"],
+                to_global[rows["source"]], to_global[rows["destination"]],
+                rows["nbytes"],
+                ring._details[:int(rows["detail"].max()) + 1],
+                rows["detail"],
             )
+        if self._record:
+            self._count_dropped(n - kept)
         t.events_dropped += s.events_dropped
 
     # ------------------------------------------------------------------
@@ -697,7 +804,7 @@ class SimMPI:
     def rget_row_chunks(
         self,
         origin: int,
-        target: int,
+        target,
         source: np.ndarray,
         offsets: np.ndarray,
         sizes: np.ndarray,
@@ -707,6 +814,7 @@ class SimMPI:
         charge_time: bool = True,
         out: np.ndarray = None,
         account: "CommAccount" = None,
+        request_ptr: np.ndarray = None,
     ) -> np.ndarray:
         """Vectorised :meth:`rget_rows` taking chunk *arrays*.
 
@@ -717,7 +825,18 @@ class SimMPI:
         fancy index instead of a per-chunk slice/concatenate loop — the
         hot path of the async lane.
 
+        With ``request_ptr`` the call is a *stream* of requests served
+        by one gather: request ``i`` covers chunks
+        ``request_ptr[i]:request_ptr[i + 1]`` and goes to ``target[i]``
+        (``source`` then spans every target's rows, e.g. the whole
+        dense matrix).  The requests reuse the destination buffer, so
+        the ledger holds one at a time — each is released when the next
+        lands and the last stays charged under ``label``, exactly as
+        after the single request a scalar ``target`` describes.
+
         Args:
+            target: the owning rank, or one rank per request of a
+                stream.
             offsets / sizes: coalesced chunk starts and row counts,
                 relative to ``source``.
             rows: optional precomputed expansion of the chunks into row
@@ -730,8 +849,11 @@ class SimMPI:
             account: when given, accounting is appended there for a
                 later main-thread :meth:`apply_account` instead of
                 mutating shared state — required off the main thread.
+            request_ptr: chunk boundaries of a stream's requests, every
+                request non-empty; its clock time is the caller's to
+                charge (``charge_time`` must be False).
         """
-        if origin == target:
+        if np.any(np.equal(target, origin)):
             raise CommunicationError("rget to self is always a local access")
         n_chunks = int(len(offsets))
         if n_chunks == 0:
@@ -760,6 +882,32 @@ class SimMPI:
                 f"precomputed row index has {len(rows)} rows, chunks "
                 f"cover {total_rows}"
             )
+        row_bytes = int(source.shape[1] * source.itemsize)
+        if request_ptr is None:
+            charge = _OneSidedCharge(
+                origin, target, total_rows * row_bytes, n_chunks, label,
+                f"{label}:{n_chunks}chunks", charge_memory, charge_time,
+                self._rget_scale(origin, target),
+            )
+        else:
+            per_request = np.diff(request_ptr)
+            if (
+                charge_time
+                or len(per_request) != len(target)
+                or request_ptr[0] != 0
+                or request_ptr[-1] != n_chunks
+                or int(per_request.min()) <= 0
+            ):
+                raise CommunicationError(
+                    "a request stream needs one target per non-empty "
+                    "request, boundaries covering every chunk, and "
+                    "charge_time=False"
+                )
+            charge = _OneSidedBatch(
+                origin, target,
+                np.add.reduceat(sizes, request_ptr[:-1]) * row_bytes,
+                per_request, label, charge_memory,
+            )
         if out is None:
             fetched = source[rows]
         else:
@@ -769,12 +917,6 @@ class SimMPI:
                     f"rows ({total_rows}, {source.shape[1]})"
                 )
             fetched = np.take(source, rows, axis=0, out=out)
-        nbytes = int(total_rows * source.shape[1] * source.itemsize)
-        charge = _OneSidedCharge(
-            origin, target, nbytes, n_chunks, label,
-            f"{label}:{n_chunks}chunks", charge_memory, charge_time,
-            self._rget_scale(origin, target),
-        )
         if account is None:
             charge.apply(self)
         else:

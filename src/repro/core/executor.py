@@ -9,7 +9,11 @@ cluster.  Per node, two lanes run in parallel:
   threads sweep the row panels of the sync/local-input matrix.
 * **Asynchronous lane** — the async threads pop stripes from a work
   queue, fetch the needed dense rows with coalesced MPI_Rget, and
-  compute column-major with per-nonzero accumulation.
+  compute column-major with per-nonzero accumulation.  That is what
+  is *modelled*, request by request; the host executes each rank's
+  stripes as one plan-resident program
+  (:class:`~repro.core.formats.RankProgram`): one gather, one
+  two-level reduction and one bulk accounting record per tile.
 
 A node finishes at ``max(sync lane, async lane) + other``; the cluster
 finishes with its slowest node.
@@ -59,9 +63,9 @@ def arena_ceilings(plan: TwoFacePlan, k: int) -> dict:
     """Per-slot ``(n_rows, n_cols)`` arena ceilings of a plan.
 
     Feed to :func:`~repro.cluster.buffers.warm_arenas` to pre-size
-    every pool worker's scratch for this plan's largest async stripe,
-    pinning steady-state executions at zero per-stripe allocations
-    regardless of how ranks land on workers.
+    every pool worker's scratch for this plan's largest async tile,
+    pinning steady-state executions at zero arena growth regardless of
+    how ranks land on workers.
 
     A plan whose schedules were never finalised (hand-assembled in a
     test, legacy deserialisation path) is finalised here first —
@@ -76,14 +80,11 @@ def arena_ceilings(plan: TwoFacePlan, k: int) -> dict:
     max_nnz = 1
     max_segments = 1
     for rank_plan in plan.ranks:
-        for stripe in rank_plan.async_matrix.stripes:
-            max_rows = max(
-                max_rows, int(stripe.schedule.chunk_sizes.sum())
-            )
-            max_nnz = max(max_nnz, stripe.nnz)
-            max_segments = max(
-                max_segments, stripe.reduce_schedule.n_segments
-            )
+        program = rank_plan.async_matrix.program()
+        max_nnz = max(max_nnz, int(np.diff(program.nnz_ptr).max(initial=1)))
+        for tile in program.tiles(k * 8):
+            max_rows = max(max_rows, tile.rows.stop - tile.rows.start)
+            max_segments = max(max_segments, tile.n_segments)
     # The "scatter" slot holds per-chunk products on the atomic path
     # and per-segment sums on the segmented path; cover both.
     scatter_rows = max(
@@ -97,54 +98,105 @@ def arena_ceilings(plan: TwoFacePlan, k: int) -> dict:
     }
 
 
+def async_lane_seconds(
+    net, compute, n_threads: int, k: int, row_bytes: int,
+    req_rows: np.ndarray, req_chunks: np.ndarray, nnz_live: np.ndarray,
+    skew: float = 1.0,
+) -> Tuple[float, float]:
+    """Simulated ``(comm, comp)`` seconds of a rank's async requests.
+
+    The one definition of what the async lane charges per request —
+    the executor books it, the tuner prices candidates with it.  Each
+    request's term goes through the scalar cost-model formulas
+    elementwise and the terms are folded left to right (``cumsum``),
+    so the totals equal a Python ``+=`` loop over the requests bit for
+    bit.
+
+    Args:
+        req_rows / req_chunks: dense rows and rget chunks per request.
+        nnz_live: nonzeros each request's stripe computes with.
+        skew: the rank's compute-skew multiplier (fault injection).
+    """
+    if not len(req_rows):
+        return 0.0, 0.0
+    comm = net.rget_time(req_rows * row_bytes, n_chunks=req_chunks)
+    comp = compute.async_stripe_time(nnz_live, k, n_threads, n_stripes=1)
+    if skew != 1.0:
+        comp = comp * skew
+    return float(np.cumsum(comm)[-1]), float(np.cumsum(comp)[-1])
+
+
 def accumulate_async_stripe(
     c_block: np.ndarray,
     fetched: np.ndarray,
     stripe,
-    packed: np.ndarray,
     vals: np.ndarray,
+    arena,
+    scatter: ScatterStats,
+) -> None:
+    """``np.add.at`` one async stripe's contribution into ``c_block``.
+
+    The pinned per-stripe reference (``REPRO_SCATTER=atomic``) the tile
+    kernel is tested against: gather the fetched row of every nonzero,
+    scale, and accumulate in the stripe's column-major order.
+
+    Args:
+        fetched: the stripe's fetched dense rows, fetch order.
+        vals: the stripe's (possibly masked) nonzero values.
+    """
+    scatter_add(
+        c_block, stripe.nonzeros.rows, vals,
+        arena.take_rows(fetched, stripe.schedule.packed, "async_gather"),
+        arena=arena, stats=scatter,
+    )
+
+
+def accumulate_async_tile(
+    c_block: np.ndarray,
+    fetched: np.ndarray,
+    matrix,
+    program,
+    tile,
+    values: np.ndarray,
     segmented: bool,
     arena,
     scatter: ScatterStats,
-    keep: Optional[np.ndarray] = None,
 ) -> None:
-    """Accumulate one async stripe's contribution into ``c_block``.
+    """Accumulate one tile of a rank program into ``c_block``.
 
     The scatter half of the async lane, shared verbatim by the
     simulator path below and the shared-memory transport
-    (:mod:`repro.transport.shm`): given the fetched dense rows, apply
-    either the segmented-reduction kernel or the pinned atomic
-    reference, in the plan's deterministic order.
+    (:mod:`repro.transport.shm`).  Segmented mode is one two-level
+    reduction (:func:`~repro.sparse.ops.segmented_reduce_into` with the
+    tile's fold); atomic mode walks the tile's stripes through the
+    pinned per-stripe reference.
 
     Args:
         c_block: the rank's output block (accumulated in place).
-        fetched: the stripe's fetched dense rows, fetch order.
-        stripe: the :class:`~repro.core.formats.AsyncStripe`.
-        packed: the schedule's per-nonzero fetched-row index.
-        vals: the stripe's nonzero values.
+        fetched: the tile's fetched dense rows, fetch order.
+        matrix: the rank's :class:`~repro.core.formats.AsyncStripeMatrix`.
+        program / tile: its rank program and the tile to run.
+        values: ``matrix.values(program, keep,
+            reduction_order=segmented)`` — the rank's (possibly masked)
+            nonzero values in the order the chosen kernel consumes.
         segmented: pre-resolved ``scatter_mode() == SCATTER_SEGMENTED``.
         arena: the worker's :class:`~repro.cluster.buffers.FetchArena`.
         scatter: counter sink.
-        keep: optional per-nonzero sampling mask (None = all live).
     """
     if segmented:
-        reduce = stripe.ensure_reduce_schedule()
-        if keep is None:
-            vals_perm = reduce.permuted_vals(vals)
-        else:
-            vals_perm = (vals * keep)[reduce.order]
         segmented_reduce_into(
-            c_block, fetched, reduce.gather_indices(packed),
-            vals_perm, reduce.seg_ptrs(), reduce.out_rows,
-            arena=arena, stats=scatter,
+            c_block, fetched, tile.gather, values[tile.nnz],
+            tile.seg_ptrs, None, arena=arena, stats=scatter,
+            fold=tile.fold,
         )
-    else:
-        if keep is not None:
-            vals = vals * keep
-        scatter_add(
-            c_block, stripe.nonzeros.rows, vals,
-            arena.take_rows(fetched, packed, "async_gather"),
-            arena=arena, stats=scatter,
+        return
+    row_ptr = (program.row_ptr - tile.rows.start).tolist()
+    nnz_ptr = program.nnz_ptr.tolist()
+    for i in range(tile.stripes.start, tile.stripes.stop):
+        accumulate_async_stripe(
+            c_block, fetched[row_ptr[i]:row_ptr[i + 1]],
+            matrix.stripes[i], values[nnz_ptr[i]:nnz_ptr[i + 1]],
+            arena, scatter,
         )
 
 
@@ -393,6 +445,8 @@ def _async_lane(
     k = ctx.k
     max_gap = max_coalescing_gap(k)
     faults = ctx.cluster.faults
+    dense = ctx.B.data
+    row_bytes = int(dense.shape[1] * dense.itemsize)
     # Resolve the knob once so one execution never mixes kernels.
     segmented = scatter_mode() == SCATTER_SEGMENTED
 
@@ -403,105 +457,86 @@ def _async_lane(
         account = CommAccount()
         cache = TransferCacheStats()
         scatter = ScatterStats()
-        rank_plan = plan.rank_plan(rank)
+        matrix = plan.rank_plan(rank).async_matrix
+        # Plan-resident and validated once per plan (owners, coverage);
+        # steady-state executions only confirm it is still current.
+        program = matrix.ensure_program(
+            ctx.B.partition, max_gap, stats=cache
+        )
         c_block = ctx.C.block(rank)
+        nnz_live = program.req_nnz
+        keep = None
+        if mask is not None and program.n_stripes:
+            keep = np.concatenate(mask.async_masks[rank])
+            live = np.concatenate(([0], np.cumsum(keep)))[program.nnz_ptr]
+            nnz_live = np.diff(live)[program.req_stripes]
+            if live[-1] == len(keep):
+                keep = None  # keep-all: bitwise fast path
+        values = matrix.values(program, keep, reduction_order=segmented)
+        # One gather and one reduction per tile.  With faults the data
+        # movement is the same (host views cannot fail); what the
+        # simulated cluster pays is modelled per piece/attempt below.
+        for tile in program.tiles(row_bytes):
+            rows = program.fetched_ids[tile.rows]
+            out = arena.request(
+                "async_fetch", len(rows), dense.shape[1], dense.dtype
+            )
+            if faults is None and len(rows):
+                fetched = ctx.mpi.rget_row_chunks(
+                    rank, program.req_owners[tile.requests], dense,
+                    program.chunk_starts[tile.chunks],
+                    program.chunk_sizes[tile.chunks],
+                    label="async_rows", rows=rows, charge_time=False,
+                    out=out, account=account,
+                    request_ptr=(
+                        program.req_ptr[
+                            tile.requests.start:tile.requests.stop + 1
+                        ] - tile.chunks.start
+                    ),
+                )
+                account.free(rank, "async_rows")
+            else:
+                fetched = np.take(dense, rows, axis=0, out=out)
+            accumulate_async_tile(
+                c_block, fetched, matrix, program, tile, values,
+                segmented, arena, scatter,
+            )
+        if faults is None:
+            comm_seconds, comp_seconds = async_lane_seconds(
+                net, compute, ctx.threads.async_comp, k, row_bytes,
+                program.req_rows, program.req_chunks, nnz_live,
+            )
+            return _AsyncRankRecord(
+                account, cache, scatter, comm_seconds, comp_seconds
+            )
+        # The ledger is static while rank bodies run (deferred
+        # accounting replays after the pool joins), and every stripe
+        # frees its rows, so one headroom figure serves the whole body
+        # — deterministically, at any pool width.
+        ledger = ctx.cluster.node(rank).memory
+        headroom = ledger.capacity - ledger.current
+        resil = ResilienceStats()
         comm_seconds = 0.0
-        comp_seconds = 0.0
         sync_comm_seconds = 0.0
         root_costs: List[Tuple[int, float]] = []
-        resil = ResilienceStats() if faults is not None else None
         request_seq = 0
-        if faults is not None:
-            # The ledger is static while rank bodies run (deferred
-            # accounting replays after the pool joins), and every
-            # stripe frees its rows, so one headroom figure serves the
-            # whole body — deterministically, at any pool width.
-            ledger = ctx.cluster.node(rank).memory
-            headroom = ledger.capacity - ledger.current
-            skew = faults.compute_skew(rank)
-        for stripe_idx, stripe in enumerate(
-            rank_plan.async_matrix.stripes
-        ):
-            if stripe.owner == rank:
-                raise PartitionError(
-                    f"stripe {stripe.gid} is local to rank {rank} but was "
-                    "classified asynchronous"
+        for i in program.req_stripes.tolist():
+            stripe = matrix.stripes[i]
+            a_comm, s_comm, roots, request_seq = (
+                _resilient_fetch_accounting(
+                    ctx, faults, rank, stripe.owner, stripe.schedule,
+                    row_bytes, headroom, account, resil, request_seq,
                 )
-            block_start, _ = ctx.B.partition.bounds(stripe.owner)
-            schedule = stripe.ensure_schedule(block_start, max_gap,
-                                              stats=cache)
-            # The cached packed map lands each nonzero's global c_id on
-            # its fetched row; coverage is validated once per schedule
-            # (the memoised verdict on the stripe) so steady-state
-            # executions skip the per-stripe comparison.
-            packed = schedule.packed
-            if not stripe.covers_columns(schedule):
-                raise PartitionError(
-                    f"stripe {stripe.gid}: fetched rows do not cover the "
-                    "stripe's c_ids"
-                )
-            block = ctx.B.block(stripe.owner)
-            rows = schedule.local_rows()
-            if faults is None:
-                fetched = ctx.mpi.rget_row_chunks(
-                    rank, stripe.owner, block,
-                    schedule.chunk_offsets, schedule.chunk_sizes,
-                    label="async_rows", rows=rows,
-                    charge_time=False,
-                    out=arena.request(
-                        "async_fetch", len(rows), block.shape[1],
-                        block.dtype,
-                    ),
-                    account=account,
-                )
-                comm_seconds += net.rget_time(
-                    int(fetched.nbytes), n_chunks=schedule.n_chunks
-                )
-            else:
-                # Data movement (host views cannot fail) is one gather;
-                # the simulated cost is modelled per piece/attempt.
-                fetched = np.take(
-                    block, rows, axis=0,
-                    out=arena.request(
-                        "async_fetch", len(rows), block.shape[1],
-                        block.dtype,
-                    ),
-                )
-                a_comm, s_comm, roots, request_seq = (
-                    _resilient_fetch_accounting(
-                        ctx, faults, rank, stripe.owner, schedule,
-                        int(block.shape[1] * block.itemsize), headroom,
-                        account, resil, request_seq,
-                    )
-                )
-                comm_seconds += a_comm
-                sync_comm_seconds += s_comm
-                root_costs.extend(roots)
-            vals = stripe.nonzeros.vals
-            nnz_live = stripe.nnz
-            keep = None
-            if mask is not None:
-                keep = mask.async_masks[rank][stripe_idx]
-                nnz_live = int(np.count_nonzero(keep))
-                if nnz_live == stripe.nnz:
-                    keep = None  # keep-all: bitwise fast path
-            # Segmented mode: one csr_matvecs call sums each output
-            # row's segment straight out of the fetch buffer (indices =
-            # the plan-resident composition packed[order], data = the
-            # cached permuted values), then each output row lands with
-            # a single fancy-indexed +=.  No gather, no materialised
-            # products.
-            accumulate_async_stripe(
-                c_block, fetched, stripe, packed, vals, segmented,
-                arena, scatter, keep=keep,
             )
-            stripe_comp = compute.async_stripe_time(
-                nnz_live, k, ctx.threads.async_comp, n_stripes=1
-            )
-            if faults is not None:
-                stripe_comp *= skew
-            comp_seconds += stripe_comp
+            comm_seconds += a_comm
+            sync_comm_seconds += s_comm
+            root_costs.extend(roots)
             account.free(rank, "async_rows")
+        _, comp_seconds = async_lane_seconds(
+            net, compute, ctx.threads.async_comp, k, row_bytes,
+            program.req_rows, program.req_chunks, nnz_live,
+            skew=faults.compute_skew(rank),
+        )
         return _AsyncRankRecord(
             account, cache, scatter, comm_seconds, comp_seconds,
             sync_comm_seconds, tuple(root_costs), resil,

@@ -16,12 +16,14 @@ structures:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from operator import is_
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dist.oned import RowPartition
-from ..errors import FormatError
+from ..errors import FormatError, PartitionError
 from ..sparse.coo import COOMatrix
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import (
@@ -94,24 +96,10 @@ class TransferSchedule:
     chunk_sizes: np.ndarray
     fetched_ids: np.ndarray
     packed: np.ndarray
-    #: Lazily cached expansion of the chunks into block-local row
-    #: indices (what the owner-side gather uses); derived, not
-    #: serialised.
-    _local_rows: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_chunks(self) -> int:
         return int(len(self.chunk_offsets))
-
-    def local_rows(self) -> np.ndarray:
-        """Block-local row indices the chunks fetch, in fetch order."""
-        if self._local_rows is None:
-            self._local_rows = expand_chunks(
-                self.chunk_offsets, self.chunk_sizes
-            )
-        return self._local_rows
 
     def chunks(self) -> List[Tuple[int, int]]:
         """The ``(offset, size)`` pair list :meth:`SimMPI.rget_rows` takes."""
@@ -144,75 +132,16 @@ class ReduceSchedule:
         seg_starts: offsets into the permuted arrays where each output
             row's segment begins.
         out_rows: slab-local output-row id of each segment (unique,
-            ascending) — the fancy-index target of the single ``+=``.
+            ascending).
     """
 
     order: np.ndarray
     seg_starts: np.ndarray
     out_rows: np.ndarray
-    #: Lazily cached ``(packed, packed[order])`` — the fetched-row
-    #: gather index in reduction order; derived, not serialised.
-    _gather: Optional[tuple] = field(default=None, repr=False, compare=False)
-    #: Lazily cached ``(vals, vals[order])`` of the owning stripe;
-    #: derived, not serialised (values travel in the stripe's COO
-    #: arrays).
-    _vals_perm: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Lazily cached CSR-style segment boundaries
-    #: (``seg_starts`` + ``[nnz]``); pure geometry, so no identity key.
-    _seg_ptrs: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_segments(self) -> int:
         return int(len(self.out_rows))
-
-    def seg_ptrs(self) -> np.ndarray:
-        """Segment boundaries as a CSR ``indptr``-style array.
-
-        ``seg_starts`` extended with the nonzero count — the ``indptr``
-        of the segment-sum matrix ``csr_matvecs`` reduces with.
-        Derived from immutable geometry, so cached unconditionally.
-        """
-        if self._seg_ptrs is None:
-            self._seg_ptrs = np.concatenate(
-                [self.seg_starts, [len(self.order)]]
-            ).astype(np.int64, copy=False)
-        return self._seg_ptrs
-
-    def gather_indices(self, packed: np.ndarray) -> np.ndarray:
-        """``packed[order]``, computed once per source array.
-
-        The cache is keyed on the *identity* of ``packed``: schedule
-        objects are shared by shallow plan clones (e.g. the attention
-        layer's value-remapped plans), so a fresh argument array must
-        recompute rather than serve the previous plan's composition.
-        The result is coerced to int64 so it can feed ``csr_matvecs``
-        directly alongside :meth:`seg_ptrs`.
-        """
-        cached = self._gather
-        if cached is None or cached[0] is not packed:
-            composed = packed[self.order].astype(np.int64, copy=False)
-            cached = (packed, composed)
-            self._gather = cached
-        return cached[1]
-
-    def permuted_vals(self, vals: np.ndarray) -> np.ndarray:
-        """``vals[order]``, computed once per source array.
-
-        Identity-keyed like :meth:`gather_indices` — value-remapped
-        plan clones (attention) share this schedule object but pass
-        fresh value arrays, which must not hit the stale cache.
-        Callers with masked (per-iteration) values should permute fresh
-        instead of going through this cache.
-        """
-        cached = self._vals_perm
-        if cached is None or cached[0] is not vals:
-            cached = (vals, vals[self.order])
-            self._vals_perm = cached
-        return cached[1]
 
     def nbytes(self) -> int:
         return int(
@@ -340,41 +269,10 @@ class AsyncStripe:
     reduce_schedule: Optional[ReduceSchedule] = field(
         default=None, repr=False
     )
-    #: Identity-keyed memo of the coverage check: ``(schedule, ok)``.
-    #: Plan geometry is immutable, so each schedule is validated once
-    #: per plan lifetime instead of per execution per stripe.
-    _coverage: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def nnz(self) -> int:
         return self.nonzeros.nnz
-
-    def covers_columns(self, schedule: TransferSchedule) -> bool:
-        """Whether ``schedule`` lands every nonzero on a fetched row.
-
-        The packed map is clipped (:func:`packed_row_indices`), so a
-        non-covering plan shows up as a value mismatch here rather
-        than an ``IndexError`` in the gather.  Both operands are
-        immutable plan data; the verdict is memoised keyed on the
-        schedule's identity (value-remapped plan clones share the
-        schedule object and therefore the memo).
-        """
-        cached = self._coverage
-        if cached is None or cached[0] is not schedule:
-            if len(schedule.fetched_ids) == 0:
-                ok = self.nnz == 0
-            else:
-                ok = bool(
-                    np.array_equal(
-                        schedule.fetched_ids[schedule.packed],
-                        self.nonzeros.cols,
-                    )
-                )
-            cached = (schedule, ok)
-            self._coverage = cached
-        return cached[1]
 
     @property
     def rows_needed(self) -> int:
@@ -475,6 +373,449 @@ def packed_row_indices(
     return packed
 
 
+#: Scratch one async tile may occupy: fetched dense rows plus segment
+#: sums, in bytes.  A constant, not a knob — it only has to be large
+#: enough that per-tile dispatch is noise (4 MiB is one tile per rank on
+#: every suite matrix; a quarter of it already costs 5-10 % on the
+#: ultra-sparse ones) and small enough that what a rank body holds at
+#: once, hence arena ceilings and peak RSS, stays bounded however many
+#: stripes a rank has.  A single stripe beyond it is its own tile.
+_TILE_SCRATCH_BYTES = 1 << 22
+
+
+def _concat(parts: Sequence[np.ndarray], dtype=np.int64) -> np.ndarray:
+    return np.concatenate(parts) if len(parts) else np.zeros(0, dtype=dtype)
+
+
+def _ptr(counts: Sequence[int]) -> np.ndarray:
+    """CSR-style boundaries of consecutive runs of the given lengths."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+@dataclass(frozen=True)
+class AsyncTile:
+    """Consecutive stripes of a :class:`RankProgram` run as one unit:
+    one gather of their fetched rows and one two-level reduction.
+
+    Attributes:
+        stripes / requests / chunks / rows / nnz: the tile's ranges in
+            the program's per-stripe, per-request, per-chunk,
+            per-fetched-row and per-nonzero (reduction order) arrays.
+        gather: per nonzero, reduction order, the tile-buffer row it
+            reads (level-1 CSR ``indices``).
+        seg_ptrs: level-1 CSR ``indptr`` — one row per (stripe, output
+            row) segment, in stripe order.
+        fold: level-2 unit-weight CSR ``(indptr, indices, data)`` over
+            the rank's output rows, listing each row's segments in
+            stripe order.
+    """
+
+    stripes: slice
+    requests: slice
+    chunks: slice
+    rows: slice
+    nnz: slice
+    gather: np.ndarray
+    seg_ptrs: np.ndarray
+    fold: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.seg_ptrs) - 1
+
+
+@dataclass
+class RankProgram:
+    """One rank's async stripes as a single batched program.
+
+    The concatenation, in ascending-gid order, of everything the async
+    lane needs of the rank's stripes.  The per-stripe
+    :class:`TransferSchedule` / :class:`ReduceSchedule` arrays are
+    views into these arrays, so the serialised plan is unchanged and a
+    stripe can still be inspected (or re-chunked, or failed) on its
+    own; execution, accounting and pricing read the program.
+
+    Attributes:
+        n_rows: rows of the rank's output block.
+        owners: owning rank of each stripe's dense rows.
+        nnz_ptr / row_ptr / chunk_ptr / seg_ptr: per-stripe boundaries
+            in the per-nonzero, per-fetched-row, per-chunk and
+            per-segment arrays below.
+        chunk_offsets / chunk_sizes: coalesced rget chunks
+            (owner-block-local first row, row count).
+        fetched_ids: global ``B`` rows the chunks deliver, fetch order.
+        packed: per nonzero, its row within its stripe's fetched rows.
+        order: per stripe, the stable sort permutation of its nonzeros'
+            output rows (stripe-local positions).
+        seg_starts / out_rows: per segment, its start within its
+            stripe's permuted nonzeros and its output row.
+    """
+
+    n_rows: int
+    owners: np.ndarray
+    nnz_ptr: np.ndarray
+    row_ptr: np.ndarray
+    chunk_ptr: np.ndarray
+    seg_ptr: np.ndarray
+    chunk_offsets: np.ndarray
+    chunk_sizes: np.ndarray
+    fetched_ids: np.ndarray
+    packed: np.ndarray
+    order: np.ndarray
+    seg_starts: np.ndarray
+    out_rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        #: What :meth:`bind` saw on the stripes: owner list, schedule
+        #: objects, and the arrays those schedules held.
+        self._bound: Tuple[list, list, list, list] = ([], [], [], [])
+        self._valid = False
+        self._tiles: Optional[Tuple[int, List[AsyncTile]]] = None
+
+    @property
+    def n_stripes(self) -> int:
+        return len(self.owners)
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    @classmethod
+    def build(
+        cls, stripes: Sequence["AsyncStripe"], col_partition: RowPartition,
+        max_gap: int,
+    ) -> "RankProgram":
+        """Schedule every stripe of a rank in one vectorised pass.
+
+        One coalesce over all row ids (stripe boundaries are forced
+        chunk breaks), one ``searchsorted`` mapping nonzeros onto
+        fetched rows, one stable sort on ``(stripe, output row)`` —
+        the arrays each stripe's ``build_schedule`` /
+        ``build_reduce_schedule`` would produce, concatenated.
+        """
+        n = len(stripes)
+        stripe_ids = np.arange(n)
+        owners = np.array([s.owner for s in stripes], dtype=np.int64)
+        block_starts = np.array(
+            [col_partition.bounds(o)[0] for o in owners.tolist()],
+            dtype=np.int64,
+        )
+        nnz_ptr = _ptr([s.nnz for s in stripes])
+        nnz_stripe = np.repeat(stripe_ids, np.diff(nnz_ptr))
+
+        # Transfer half.  Keying each id by its stripe makes the keys
+        # globally ascending with a gap wider than ``max_gap`` at every
+        # stripe boundary, so one coalesce never merges across stripes.
+        id_stripe = np.repeat(
+            stripe_ids,
+            np.array([len(s.row_ids) for s in stripes], dtype=np.int64),
+        )
+        local_ids = (
+            _concat([s.row_ids for s in stripes]) - block_starts[id_stripe]
+        )
+        if len(local_ids) and local_ids.min() < 0:
+            culprit = stripes[int(id_stripe[np.argmin(local_ids)])]
+            raise FormatError(
+                f"stripe {culprit.gid} requests rows below the owner block"
+            )
+        span = int(local_ids.max(initial=0)) + max_gap + 1
+        keyed_offsets, chunk_sizes = coalesce_row_id_arrays(
+            local_ids + id_stripe * span, max_gap=max_gap
+        )
+        chunk_stripe = keyed_offsets // span
+        chunk_offsets = keyed_offsets - chunk_stripe * span
+        chunk_ptr = np.searchsorted(chunk_stripe, np.arange(n + 1))
+        fetched_ids = expand_chunks(
+            chunk_offsets + block_starts[chunk_stripe], chunk_sizes
+        )
+        row_ptr = _ptr(chunk_sizes)[chunk_ptr]
+        rows_of = np.diff(row_ptr)
+        cols = _concat([s.nonzeros.cols for s in stripes])
+        width = max(
+            int(fetched_ids.max(initial=0)), int(cols.max(initial=0))
+        ) + 1
+        packed = np.searchsorted(
+            fetched_ids + np.repeat(stripe_ids, rows_of) * width,
+            cols + nnz_stripe * width,
+        ) - row_ptr[nnz_stripe]
+        # Clipped like ``packed_row_indices``: a non-covering stripe
+        # must fail the coverage comparison, not the gather.
+        np.minimum(
+            packed, np.maximum(rows_of - 1, 0)[nnz_stripe], out=packed
+        )
+
+        # Reduce half: a stable sort on (stripe, row) is every stripe's
+        # own stable sort on row, side by side.
+        n_rows = stripes[0].nonzeros.shape[0] if n else 0
+        keys = _concat([s.nonzeros.rows for s in stripes]) + (
+            nnz_stripe * n_rows
+        )
+        perm = np.argsort(keys, kind="stable")
+        sorted_keys = keys[perm]
+        seg_first = np.flatnonzero(
+            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        ) if len(keys) else np.zeros(0, dtype=np.int64)
+        seg_stripe = nnz_stripe[seg_first]
+        return cls(
+            n_rows=n_rows,
+            owners=owners,
+            nnz_ptr=nnz_ptr,
+            row_ptr=row_ptr,
+            chunk_ptr=chunk_ptr,
+            seg_ptr=np.searchsorted(seg_stripe, np.arange(n + 1)),
+            chunk_offsets=chunk_offsets,
+            chunk_sizes=chunk_sizes,
+            fetched_ids=fetched_ids,
+            packed=packed,
+            order=perm - nnz_ptr[nnz_stripe],
+            seg_starts=seg_first - nnz_ptr[seg_stripe],
+            out_rows=sorted_keys[seg_first] - seg_stripe * n_rows,
+        )
+
+    @classmethod
+    def from_stripes(cls, stripes: Sequence["AsyncStripe"]) -> "RankProgram":
+        """Concatenate the schedules the stripes already carry (plans
+        finalised stripe by stripe, or edited after finalisation)."""
+        transfers = [s.schedule for s in stripes]
+        reduces = [s.reduce_schedule for s in stripes]
+        program = cls(
+            n_rows=stripes[0].nonzeros.shape[0] if stripes else 0,
+            owners=np.array([s.owner for s in stripes], dtype=np.int64),
+            nnz_ptr=_ptr([s.nnz for s in stripes]),
+            row_ptr=_ptr([len(t.fetched_ids) for t in transfers]),
+            chunk_ptr=_ptr([t.n_chunks for t in transfers]),
+            seg_ptr=_ptr([r.n_segments for r in reduces]),
+            chunk_offsets=_concat([t.chunk_offsets for t in transfers]),
+            chunk_sizes=_concat([t.chunk_sizes for t in transfers]),
+            fetched_ids=_concat([t.fetched_ids for t in transfers]),
+            packed=_concat([t.packed for t in transfers]),
+            order=_concat([r.order for r in reduces]),
+            seg_starts=_concat([r.seg_starts for r in reduces]),
+            out_rows=_concat([r.out_rows for r in reduces]),
+        )
+        program.bind(stripes)
+        return program
+
+    def attach(self, stripes: Sequence["AsyncStripe"]) -> None:
+        """Hand every stripe its schedules as views into the program."""
+        bounds = zip(
+            stripes,
+            *(
+                zip(ptr[:-1], ptr[1:])
+                for ptr in (
+                    self.nnz_ptr.tolist(), self.row_ptr.tolist(),
+                    self.chunk_ptr.tolist(), self.seg_ptr.tolist(),
+                )
+            ),
+        )
+        for stripe, (n0, n1), (r0, r1), (c0, c1), (g0, g1) in bounds:
+            stripe.schedule = TransferSchedule(
+                chunk_offsets=self.chunk_offsets[c0:c1],
+                chunk_sizes=self.chunk_sizes[c0:c1],
+                fetched_ids=self.fetched_ids[r0:r1],
+                packed=self.packed[n0:n1],
+            )
+            stripe.reduce_schedule = ReduceSchedule(
+                order=self.order[n0:n1],
+                seg_starts=self.seg_starts[g0:g1],
+                out_rows=self.out_rows[g0:g1],
+            )
+        self.bind(stripes)
+
+    # ------------------------------------------------------------------
+    # Staleness and validation
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _parts(transfers: list, reduces: list) -> list:
+        return [
+            part
+            for t, r in zip(transfers, reduces)
+            for part in (
+                t.chunk_offsets, t.chunk_sizes, t.fetched_ids, t.packed,
+                r.order, r.seg_starts, r.out_rows,
+            )
+        ]
+
+    def bind(self, stripes: Sequence["AsyncStripe"]) -> None:
+        """Remember which stripe state this program describes."""
+        transfers = [s.schedule for s in stripes]
+        reduces = [s.reduce_schedule for s in stripes]
+        self._bound = (
+            [s.owner for s in stripes], transfers, reduces,
+            self._parts(transfers, reduces),
+        )
+
+    def describes(self, stripes: Sequence["AsyncStripe"]) -> bool:
+        """Whether ``stripes`` still carry the state :meth:`bind` saw.
+
+        The stripes stay the source of truth — tests and tools replace
+        an owner or a schedule on a finished plan — so every execution
+        compares owners and schedule *objects* (identity, no array
+        work); until the program has been validated once it also
+        compares the arrays those schedules hold, which catches an
+        edit made through a schedule's attributes.
+        """
+        owners, transfers, reduces, parts = self._bound
+        if len(stripes) != len(owners):
+            return False
+        now_t = [s.schedule for s in stripes]
+        now_r = [s.reduce_schedule for s in stripes]
+        return (
+            [s.owner for s in stripes] == owners
+            and all(map(is_, now_t, transfers))
+            and all(map(is_, now_r, reduces))
+            and (self._valid
+                 or all(map(is_, self._parts(now_t, now_r), parts)))
+        )
+
+    def validate(self, rank: int, stripes: Sequence["AsyncStripe"]) -> None:
+        """Check, once, that the program can run on ``rank``.
+
+        Raises:
+            PartitionError: a stripe owned by ``rank`` itself, chunks
+                that disagree with the fetched-row list, or fetched
+                rows that do not cover a stripe's column ids (the
+                packed map is clipped, so non-coverage shows up as a
+                value mismatch here, never an ``IndexError`` in the
+                gather).
+        """
+        if self._valid:
+            return
+        local = np.flatnonzero(self.owners == rank)
+        if len(local):
+            raise PartitionError(
+                f"stripe {stripes[int(local[0])].gid} is local to rank "
+                f"{rank} but was classified asynchronous"
+            )
+        rows_of = np.diff(self.row_ptr)
+        stripe_of = np.repeat(
+            np.arange(self.n_stripes), np.diff(self.nnz_ptr)
+        )
+        inside = self.packed < rows_of[stripe_of]
+        covered = np.zeros(len(inside), dtype=bool)
+        if len(self.fetched_ids):
+            at = np.where(inside, self.row_ptr[stripe_of] + self.packed, 0)
+            covered = inside & (
+                self.fetched_ids[at]
+                == _concat([s.nonzeros.cols for s in stripes])
+            )
+        bad = stripe_of[~covered]
+        if not len(bad):
+            bad = np.flatnonzero(
+                np.diff(_ptr(self.chunk_sizes)[self.chunk_ptr]) != rows_of
+            )
+        if len(bad):
+            raise PartitionError(
+                f"stripe {stripes[int(bad[0])].gid}: fetched rows do not "
+                "cover the stripe's c_ids"
+            )
+        self._valid = True
+
+    # ------------------------------------------------------------------
+    # Requests: the stripes that actually fetch something
+    # ------------------------------------------------------------------
+    @cached_property
+    def req_stripes(self) -> np.ndarray:
+        """Stripes with at least one chunk.  A stripe with nothing to
+        fetch (and, being covered, nothing to compute) issues no
+        request: no bytes, no seconds, no event — on every plane."""
+        return np.flatnonzero(np.diff(self.chunk_ptr))
+
+    @cached_property
+    def req_ptr(self) -> np.ndarray:
+        """Chunk boundaries of the requests."""
+        return np.append(
+            self.chunk_ptr[self.req_stripes], len(self.chunk_offsets)
+        )
+
+    @cached_property
+    def req_owners(self) -> np.ndarray:
+        return self.owners[self.req_stripes]
+
+    @cached_property
+    def req_rows(self) -> np.ndarray:
+        """Dense rows each request fetches."""
+        return np.diff(self.row_ptr)[self.req_stripes]
+
+    @cached_property
+    def req_chunks(self) -> np.ndarray:
+        return np.diff(self.req_ptr)
+
+    @cached_property
+    def req_nnz(self) -> np.ndarray:
+        return np.diff(self.nnz_ptr)[self.req_stripes]
+
+    # ------------------------------------------------------------------
+    # Execution geometry
+    # ------------------------------------------------------------------
+    @cached_property
+    def chunk_starts(self) -> np.ndarray:
+        """Global ``B`` row each chunk starts at."""
+        return self.fetched_ids[_ptr(self.chunk_sizes)[:-1]]
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """Reduction order of the rank's concatenated nonzeros."""
+        return self.order + np.repeat(
+            self.nnz_ptr[:-1], np.diff(self.nnz_ptr)
+        )
+
+    def tiles(self, row_bytes: int) -> List[AsyncTile]:
+        """The program cut into tiles for dense rows of ``row_bytes``.
+
+        Greedy over consecutive stripes: a tile closes before the
+        stripe that would push its fetched rows plus segments past
+        :data:`_TILE_SCRATCH_BYTES`.  Pure geometry, built once per
+        row width.
+        """
+        budget = max(1, _TILE_SCRATCH_BYTES // max(1, row_bytes))
+        if self._tiles is None or self._tiles[0] != budget:
+            self._tiles = (budget, self._cut(budget))
+        return self._tiles[1]
+
+    def _cut(self, budget: int) -> List[AsyncTile]:
+        n = self.n_stripes
+        used = self.row_ptr + self.seg_ptr  # scratch rows before stripe s
+        # Rank-wide level-1 geometry; tiles re-base slices of it.
+        counts = np.diff(self.nnz_ptr)
+        gather = (self.packed + np.repeat(self.row_ptr[:-1], counts))[
+            self.perm
+        ]
+        seg_at = self.seg_starts + np.repeat(
+            self.nnz_ptr[:-1], np.diff(self.seg_ptr)
+        )
+        live = np.diff(self.chunk_ptr) > 0
+        req_before = _ptr(live)
+        tiles: List[AsyncTile] = []
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(used, used[lo] + budget, side="right"))
+            hi = min(max(hi - 1, lo + 1), n)
+            n0, n1 = int(self.nnz_ptr[lo]), int(self.nnz_ptr[hi])
+            r0, r1 = int(self.row_ptr[lo]), int(self.row_ptr[hi])
+            g0, g1 = int(self.seg_ptr[lo]), int(self.seg_ptr[hi])
+            out_rows = self.out_rows[g0:g1]
+            tiles.append(AsyncTile(
+                stripes=slice(lo, hi),
+                requests=slice(int(req_before[lo]), int(req_before[hi])),
+                chunks=slice(
+                    int(self.chunk_ptr[lo]), int(self.chunk_ptr[hi])
+                ),
+                rows=slice(r0, r1),
+                nnz=slice(n0, n1),
+                gather=gather[n0:n1] - r0,
+                seg_ptrs=np.append(seg_at[g0:g1], n1) - n0,
+                fold=(
+                    _ptr(np.bincount(out_rows, minlength=self.n_rows)),
+                    np.argsort(out_rows, kind="stable"),
+                    np.ones(g1 - g0),
+                ),
+            ))
+            lo = hi
+        return tiles
+
+
 @dataclass
 class AsyncStripeMatrix:
     """All asynchronous stripes of one rank (Fig. 6c).
@@ -485,6 +826,17 @@ class AsyncStripeMatrix:
 
     rank: int
     stripes: List[AsyncStripe]
+    #: The stripes' schedules as one batched program; built with them,
+    #: rebuilt when a stripe's owner or schedules were replaced since.
+    _program: Optional[RankProgram] = field(
+        default=None, repr=False, compare=False
+    )
+    #: :meth:`values` memo: ``(program, per-stripe value arrays, their
+    #: concatenation, that in reduction order)``.  Keyed on the *identity* of
+    #: every stripe's value array: value-remapped plan clones (the
+    #: attention layer) shallow-copy this matrix — sharing the program,
+    #: which is pure geometry — but carry fresh values.
+    _values: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gids = [s.gid for s in self.stripes]
@@ -511,10 +863,7 @@ class AsyncStripeMatrix:
 
         This is the *Asynchronous Stripe Pointers* array of Fig. 6c.
         """
-        ptrs = np.zeros(self.n_stripes + 1, dtype=np.int64)
-        for i, stripe in enumerate(self.stripes):
-            ptrs[i + 1] = ptrs[i] + stripe.nnz
-        return ptrs
+        return _ptr([s.nnz for s in self.stripes])
 
     def nbytes(self) -> int:
         return sum(s.nonzeros.nbytes() + s.row_ids.nbytes for s in self.stripes)
@@ -533,48 +882,103 @@ class AsyncStripeMatrix:
         """Precompute every stripe's transfer + reduce schedule
         (idempotent).
 
-        Stripes are grouped by owner so the fetched-row id construction
-        runs as one fused gather per (rank, owner) group rather than one
-        ``np.concatenate([np.arange(...)])`` per stripe.
+        A rank none of whose stripes is scheduled yet — every freshly
+        built plan — gets its :class:`RankProgram` in one vectorised
+        pass, the stripes' schedules being views into it.  Otherwise
+        (older containers, hand-assembled plans) only the missing
+        schedules are built, stripe by stripe, and :meth:`program`
+        concatenates them on first use.
 
         Args:
             col_partition: partition of ``B``'s rows over the owners.
             max_gap: K-derived coalescing distance (``127 // K + 1``).
         """
-        pending: Dict[int, List[AsyncStripe]] = {}
+        if self.stripes and all(
+            s.schedule is None and s.reduce_schedule is None
+            for s in self.stripes
+        ):
+            self.adopt_program(
+                RankProgram.build(self.stripes, col_partition, max_gap)
+            )
+            return
         for stripe in self.stripes:
             if stripe.schedule is None:
-                pending.setdefault(stripe.owner, []).append(stripe)
-        for owner, group in pending.items():
-            block_start, _ = col_partition.bounds(owner)
-            offsets_parts, sizes_parts = [], []
-            for stripe in group:
-                offsets, sizes = coalesce_row_id_arrays(
-                    stripe._local_ids(block_start), max_gap=max_gap
+                stripe.schedule = stripe.build_schedule(
+                    col_partition.bounds(stripe.owner)[0], max_gap
                 )
-                offsets_parts.append(offsets)
-                sizes_parts.append(sizes)
-            all_sizes = np.concatenate(sizes_parts)
-            fetched_all = (
-                expand_chunks(np.concatenate(offsets_parts), all_sizes)
-                + block_start
-            )
-            bounds = np.concatenate(
-                [[0], np.cumsum([p.sum() for p in sizes_parts])]
-            ).astype(np.int64)
-            for i, stripe in enumerate(group):
-                fetched_ids = fetched_all[bounds[i] : bounds[i + 1]]
-                stripe.schedule = TransferSchedule(
-                    chunk_offsets=offsets_parts[i],
-                    chunk_sizes=sizes_parts[i],
-                    fetched_ids=fetched_ids,
-                    packed=packed_row_indices(
-                        fetched_ids, stripe.nonzeros.cols
-                    ),
-                )
-        for stripe in self.stripes:
-            if stripe.reduce_schedule is None:
-                stripe.reduce_schedule = stripe.build_reduce_schedule()
+            stripe.ensure_reduce_schedule()
+
+    def adopt_program(self, program: RankProgram) -> None:
+        """Install ``program`` and hand the stripes their views of it."""
+        program.attach(self.stripes)
+        self._program = program
+
+    def program(self) -> RankProgram:
+        """The rank program of a finalised matrix, current with its
+        stripes."""
+        program = self._program
+        if program is None or not program.describes(self.stripes):
+            program = self._program = RankProgram.from_stripes(self.stripes)
+        return program
+
+    def ensure_program(
+        self,
+        col_partition: RowPartition,
+        max_gap: int,
+        stats: Optional[TransferCacheStats] = None,
+    ) -> RankProgram:
+        """The validated program, scheduling whatever is still missing.
+
+        Args:
+            stats: counter sink for per-stripe schedule ``hits`` /
+                ``recomputes``; defaults to the process-global
+                :data:`TRANSFER_CACHE`.  Pooled rank bodies pass a
+                local record instead (the global counters are not safe
+                to mutate concurrently) and the executor folds the
+                records back in rank order.
+        """
+        sink = TRANSFER_CACHE if stats is None else stats
+        missing = 0
+        program = self._program
+        if program is None or not program.describes(self.stripes):
+            missing = sum(s.schedule is None for s in self.stripes)
+            self.finalize_schedules(col_partition, max_gap)
+            program = self.program()
+        sink.recomputes += missing
+        sink.hits += len(self.stripes) - missing
+        program.validate(self.rank, self.stripes)
+        return program
+
+    def values(
+        self,
+        program: RankProgram,
+        keep: Optional[np.ndarray] = None,
+        reduction_order: bool = True,
+    ) -> np.ndarray:
+        """The rank's nonzero values, stripes concatenated.
+
+        Args:
+            keep: optional per-nonzero sampling mask (storage order);
+                masked values are per-iteration data and computed
+                fresh, unmasked ones are memoised.
+            reduction_order: permute into ``program``'s reduction
+                order (what the segmented kernel consumes) instead of
+                the stripes' storage order.
+        """
+        vals = [s.nonzeros.vals for s in self.stripes]
+        memo = self._values
+        if (
+            memo is None
+            or memo[0] is not program
+            or len(memo[1]) != len(vals)
+            or not all(map(is_, vals, memo[1]))
+        ):
+            flat = _concat(vals, np.float64)
+            memo = self._values = (program, vals, flat, flat[program.perm])
+        if keep is None:
+            return memo[3] if reduction_order else memo[2]
+        masked = memo[2] * keep
+        return masked[program.perm] if reduction_order else masked
 
 
 def build_sync_local_matrix(

@@ -26,7 +26,7 @@ from .classifier import RankClassification
 from .formats import (
     AsyncStripe,
     AsyncStripeMatrix,
-    ReduceSchedule,
+    RankProgram,
     SyncLocalMatrix,
     TransferSchedule,
 )
@@ -116,61 +116,37 @@ def _pack_rank(arrays: Dict[str, np.ndarray], prefix: str, rp: RankPlan) -> None
     arrays[f"{prefix}.async.owners"] = np.array(
         [s.owner for s in stripes], dtype=np.int64
     )
-    ptrs = [0]
-    rows, cols, vals = [], [], []
-    chunk_ptrs, fetched_ptrs, seg_ptrs = [0], [0], [0]
-    chunk_offsets, chunk_sizes, fetched_ids, packed = [], [], [], []
-    orders, seg_starts, out_rows = [], [], []
     for stripe in stripes:
-        rows.append(stripe.nonzeros.rows)
-        cols.append(stripe.nonzeros.cols)
-        vals.append(stripe.nonzeros.vals)
-        ptrs.append(ptrs[-1] + stripe.nnz)
-        schedule = stripe.schedule
-        if schedule is None:
+        if stripe.schedule is None or stripe.reduce_schedule is None:
+            missing = "transfer" if stripe.schedule is None else "reduce"
             raise FormatError(
-                f"stripe {stripe.gid} has no transfer schedule; call "
+                f"stripe {stripe.gid} has no {missing} schedule; call "
                 "plan.ensure_finalized() before packing"
             )
-        chunk_offsets.append(schedule.chunk_offsets)
-        chunk_sizes.append(schedule.chunk_sizes)
-        fetched_ids.append(schedule.fetched_ids)
-        packed.append(schedule.packed)
-        chunk_ptrs.append(chunk_ptrs[-1] + schedule.n_chunks)
-        fetched_ptrs.append(fetched_ptrs[-1] + len(schedule.fetched_ids))
-        reduce = stripe.reduce_schedule
-        if reduce is None:
-            raise FormatError(
-                f"stripe {stripe.gid} has no reduce schedule; call "
-                "plan.ensure_finalized() before packing"
-            )
-        orders.append(reduce.order)
-        seg_starts.append(reduce.seg_starts)
-        out_rows.append(reduce.out_rows)
-        seg_ptrs.append(seg_ptrs[-1] + reduce.n_segments)
+    # The schedules travel rank-concatenated, which is the rank
+    # program: order/packed align with async.ptrs (one entry per
+    # nonzero), seg_starts/out_rows with async.seg_ptrs, and so on.
+    program = rp.async_matrix.program()
     cat = lambda parts, dtype: (  # noqa: E731
         np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
     )
-    arrays[f"{prefix}.async.ptrs"] = np.array(ptrs, dtype=np.int64)
-    arrays[f"{prefix}.async.rows"] = cat(rows, np.int64)
-    arrays[f"{prefix}.async.cols"] = cat(cols, np.int64)
-    arrays[f"{prefix}.async.vals"] = cat(vals, np.float64)
-    arrays[f"{prefix}.async.chunk_ptrs"] = np.array(
-        chunk_ptrs, dtype=np.int64
-    )
-    arrays[f"{prefix}.async.chunk_offsets"] = cat(chunk_offsets, np.int64)
-    arrays[f"{prefix}.async.chunk_sizes"] = cat(chunk_sizes, np.int64)
-    arrays[f"{prefix}.async.fetched_ptrs"] = np.array(
-        fetched_ptrs, dtype=np.int64
-    )
-    arrays[f"{prefix}.async.fetched_ids"] = cat(fetched_ids, np.int64)
-    arrays[f"{prefix}.async.packed"] = cat(packed, np.int64)
-    # Reduce schedules: order aligns with async.ptrs (one entry per
-    # nonzero); seg_starts/out_rows align with async.seg_ptrs.
-    arrays[f"{prefix}.async.order"] = cat(orders, np.int64)
-    arrays[f"{prefix}.async.seg_ptrs"] = np.array(seg_ptrs, dtype=np.int64)
-    arrays[f"{prefix}.async.seg_starts"] = cat(seg_starts, np.int64)
-    arrays[f"{prefix}.async.out_rows"] = cat(out_rows, np.int64)
+    for name, array in (
+        ("ptrs", program.nnz_ptr),
+        ("rows", cat([s.nonzeros.rows for s in stripes], np.int64)),
+        ("cols", cat([s.nonzeros.cols for s in stripes], np.int64)),
+        ("vals", cat([s.nonzeros.vals for s in stripes], np.float64)),
+        ("chunk_ptrs", program.chunk_ptr),
+        ("chunk_offsets", program.chunk_offsets),
+        ("chunk_sizes", program.chunk_sizes),
+        ("fetched_ptrs", program.row_ptr),
+        ("fetched_ids", program.fetched_ids),
+        ("packed", program.packed),
+        ("order", program.order),
+        ("seg_ptrs", program.seg_ptr),
+        ("seg_starts", program.seg_starts),
+        ("out_rows", program.out_rows),
+    ):
+        arrays[f"{prefix}.async.{name}"] = array
 
     cls = rp.classification
     arrays[f"{prefix}.cls.masks"] = np.concatenate(
@@ -281,44 +257,6 @@ def _unpack_rank(
     rows = arrays[f"{prefix}.async.rows"]
     cols = arrays[f"{prefix}.async.cols"]
     vals = arrays[f"{prefix}.async.vals"]
-    schedules = None
-    if version >= 2:
-        chunk_ptrs = arrays[f"{prefix}.async.chunk_ptrs"]
-        chunk_offsets = arrays[f"{prefix}.async.chunk_offsets"]
-        chunk_sizes = arrays[f"{prefix}.async.chunk_sizes"]
-        fetched_ptrs = arrays[f"{prefix}.async.fetched_ptrs"]
-        fetched_ids = arrays[f"{prefix}.async.fetched_ids"]
-        packed = arrays[f"{prefix}.async.packed"]
-        schedules = []
-        for i in range(len(gids)):
-            c_lo, c_hi = int(chunk_ptrs[i]), int(chunk_ptrs[i + 1])
-            f_lo, f_hi = int(fetched_ptrs[i]), int(fetched_ptrs[i + 1])
-            n_lo, n_hi = int(ptrs[i]), int(ptrs[i + 1])
-            schedules.append(
-                TransferSchedule(
-                    chunk_offsets=chunk_offsets[c_lo:c_hi],
-                    chunk_sizes=chunk_sizes[c_lo:c_hi],
-                    fetched_ids=fetched_ids[f_lo:f_hi],
-                    packed=packed[n_lo:n_hi],
-                )
-            )
-    reduces = None
-    if version >= 3:
-        order = arrays[f"{prefix}.async.order"]
-        seg_ptrs = arrays[f"{prefix}.async.seg_ptrs"]
-        seg_starts = arrays[f"{prefix}.async.seg_starts"]
-        out_rows = arrays[f"{prefix}.async.out_rows"]
-        reduces = []
-        for i in range(len(gids)):
-            n_lo, n_hi = int(ptrs[i]), int(ptrs[i + 1])
-            s_lo, s_hi = int(seg_ptrs[i]), int(seg_ptrs[i + 1])
-            reduces.append(
-                ReduceSchedule(
-                    order=order[n_lo:n_hi],
-                    seg_starts=seg_starts[s_lo:s_hi],
-                    out_rows=out_rows[s_lo:s_hi],
-                )
-            )
     stripes = []
     for i, gid in enumerate(gids):
         lo, hi = int(ptrs[i]), int(ptrs[i + 1])
@@ -331,11 +269,45 @@ def _unpack_rank(
                 owner=int(owners[i]),
                 nonzeros=nonzeros,
                 row_ids=np.unique(nonzeros.cols),
-                schedule=schedules[i] if schedules is not None else None,
-                reduce_schedule=reduces[i] if reduces is not None else None,
             )
         )
     async_matrix = AsyncStripeMatrix(rank, stripes)
+    if version >= 3:
+        # The container stores the schedules rank-concatenated — which
+        # is the rank program; the stripes get views into it.
+        async_matrix.adopt_program(
+            RankProgram(
+                n_rows=shape[0],
+                owners=owners,
+                nnz_ptr=ptrs,
+                row_ptr=arrays[f"{prefix}.async.fetched_ptrs"],
+                chunk_ptr=arrays[f"{prefix}.async.chunk_ptrs"],
+                seg_ptr=arrays[f"{prefix}.async.seg_ptrs"],
+                chunk_offsets=arrays[f"{prefix}.async.chunk_offsets"],
+                chunk_sizes=arrays[f"{prefix}.async.chunk_sizes"],
+                fetched_ids=arrays[f"{prefix}.async.fetched_ids"],
+                packed=arrays[f"{prefix}.async.packed"],
+                order=arrays[f"{prefix}.async.order"],
+                seg_starts=arrays[f"{prefix}.async.seg_starts"],
+                out_rows=arrays[f"{prefix}.async.out_rows"],
+            )
+        )
+    elif version == 2:
+        chunk_ptrs = arrays[f"{prefix}.async.chunk_ptrs"]
+        chunk_offsets = arrays[f"{prefix}.async.chunk_offsets"]
+        chunk_sizes = arrays[f"{prefix}.async.chunk_sizes"]
+        fetched_ptrs = arrays[f"{prefix}.async.fetched_ptrs"]
+        fetched_ids = arrays[f"{prefix}.async.fetched_ids"]
+        packed = arrays[f"{prefix}.async.packed"]
+        for i, stripe in enumerate(stripes):
+            c_lo, c_hi = int(chunk_ptrs[i]), int(chunk_ptrs[i + 1])
+            f_lo, f_hi = int(fetched_ptrs[i]), int(fetched_ptrs[i + 1])
+            stripe.schedule = TransferSchedule(
+                chunk_offsets=chunk_offsets[c_lo:c_hi],
+                chunk_sizes=chunk_sizes[c_lo:c_hi],
+                fetched_ids=fetched_ids[f_lo:f_hi],
+                packed=packed[int(ptrs[i]):int(ptrs[i + 1])],
+            )
 
     masks = arrays[f"{prefix}.cls.masks"]
     half = len(masks) // 2

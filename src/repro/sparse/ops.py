@@ -24,10 +24,13 @@ by the ``REPRO_SCATTER`` environment variable:
   ``csr_matvecs`` C kernel reduces every segment straight out of the
   fetched dense rows and each output row lands with a single
   fancy-indexed ``+=`` (:func:`scatter_add_segmented`).  The geometry
-  is pure plan-time data, so the executor caches it on the plan (a
-  ``ReduceSchedule``) and steady-state executions do no index work —
-  and, unlike ``np.add.reduceat``, the reduction runs at memory
-  bandwidth instead of per-segment ufunc dispatch.
+  is pure plan-time data, so the executor caches it on the plan (the
+  ``ReduceSchedule`` views of a rank program) and reduces a whole
+  tile of stripes per call — a second, unit-weight ``csr_matvecs``
+  (``fold``) then lands the segment sums in stripe order — so
+  steady-state executions do no index work, and, unlike
+  ``np.add.reduceat``, the reduction runs at memory bandwidth
+  instead of per-segment ufunc dispatch.
 * ``atomic`` — the original ``np.add.at`` formulation
   (:func:`scatter_add`), kept as the pinned numerical reference.
 
@@ -250,9 +253,10 @@ def segmented_reduce_into(
     cols: np.ndarray,
     vals_perm: np.ndarray,
     seg_ptrs: np.ndarray,
-    out_rows: np.ndarray,
+    out_rows: Optional[np.ndarray],
     arena=None,
     stats: Optional[ScatterStats] = None,
+    fold: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> None:
     """``C[out_rows] += S @ source`` for a plan-resident CSR geometry.
 
@@ -276,20 +280,30 @@ def segmented_reduce_into(
         vals_perm: the nonzero values permuted into reduction order
             (contiguous float64, like ``source``).
         seg_ptrs: CSR-style segment boundaries
-            (``seg_starts`` + ``[nnz]``), length ``len(out_rows) + 1``.
-        out_rows: the unique output-row id of each segment.
+            (``seg_starts`` + ``[nnz]``), one more than the segments.
+        out_rows: the unique output-row id of each segment (ignored
+            when ``fold`` is given).
         arena: optional scratch provider; the per-segment sums then
             land in the reused ``"scatter"`` slot (zero allocations).
         stats: counter sink; defaults to :data:`SCATTER_STATS`.
+        fold: ``(row_ptrs, seg_ids, ones)`` — a unit-weight CSR over
+            *all* rows of ``C`` whose row ``r`` lists the segments that
+            land on output row ``r``.  Needed when several segments
+            share an output row (the segments of many stripes reduced
+            in one call): a second ``csr_matvecs`` adds the segment
+            sums to each row in ``seg_ids`` order, which is exactly the
+            sequence of ``+=`` that one call per stripe would perform
+            (``1.0 * x`` is exact), so ``C`` comes out bit-identical.
+            ``C`` must be C-contiguous.
 
-    This is the per-stripe hot path: arguments are consumed as-is
+    This is the async lane's hot path: arguments are consumed as-is
     (no dtype/contiguity coercion) — the plan-resident caches and
     :func:`scatter_add_segmented` hand over conforming arrays.
     """
     sink = SCATTER_STATS if stats is None else stats
     sink.segmented_calls += 1
-    n_seg = len(out_rows)
-    if n_seg == 0 or C.shape[1] == 0:
+    n_seg = len(seg_ptrs) - 1
+    if n_seg <= 0 or C.shape[1] == 0:
         return
     k = C.shape[1]
     if arena is None:
@@ -305,7 +319,16 @@ def segmented_reduce_into(
     else:  # pragma: no cover - scipy without the private kernel
         contrib = vals_perm[:, None] * source[cols]
         np.add.reduceat(contrib, seg_ptrs[:-1], axis=0, out=reduced)
-    C[out_rows] += reduced
+    if fold is None:
+        C[out_rows] += reduced
+    elif _csr_matvecs is not None and C.flags.c_contiguous:
+        row_ptrs, seg_ids, ones = fold
+        _csr_matvecs(C.shape[0], n_seg, k, row_ptrs, seg_ids, ones,
+                     reduced, C)
+    else:  # pragma: no cover - scipy without the private kernel
+        row_ptrs, seg_ids, _ones = fold
+        rows = np.repeat(np.arange(C.shape[0]), np.diff(row_ptrs))
+        np.add.at(C, rows, reduced[seg_ids])
 
 
 def scatter_add_segmented(

@@ -9,9 +9,10 @@ charges time for, but on actual processes with actual memory movement:
   so they inherit the mappings — zero pickling, zero copies.
 * A one-sided row-chunk get is a direct ``np.take`` out of the owner's
   region of the shared ``B`` panel, driven by the plan's cached
-  :class:`~repro.core.formats.TransferSchedule` offsets into the
-  worker's shared-segment arena — exactly the paper's RMA access
-  pattern, with the OS page cache standing in for the NIC.
+  :class:`~repro.core.formats.RankProgram` row ids (one gather per
+  tile of stripes) into the worker's shared-segment arena — exactly
+  the paper's RMA access pattern, with the OS page cache standing in
+  for the NIC.
 * Collectives need no wire: every rank reads the shared panel in
   place, and the partial-``C`` reduction is a barriered in-place sum
   over the shared partial segments (layer order, matching the
@@ -20,10 +21,11 @@ charges time for, but on actual processes with actual memory movement:
   shared wall-clock array — the new wall-seconds telemetry lane.
 
 Numerical contract: the kernels, their inputs, and their accumulation
-order are identical to the simulator's (the async-stripe scatter is the
-*same function*, :func:`~repro.core.executor.accumulate_async_stripe`),
-so ``C`` matches the simulator to 1e-12 (in practice bitwise);
-``tests/transport`` enforces this at worker widths 1/2/4.
+order are identical to the simulator's (the async lane runs the *same
+tile kernel*, :func:`~repro.core.executor.accumulate_async_tile`, over
+the same plan-resident rank programs), so ``C`` matches the simulator
+to 1e-12 (in practice bitwise); ``tests/transport`` enforces this at
+worker widths 1/2/4.
 
 Traffic counters are computed analytically on the driver by mirroring
 the simulator's charging formulas — they describe what the plan
@@ -229,9 +231,7 @@ class _Layer:
 
 def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
                    traffic, faults_view, resil) -> None:
-    from ..core.executor import (
-        accumulate_async_stripe, arena_ceilings,
-    )
+    from ..core.executor import accumulate_async_tile, arena_ceilings
     from ..core.plancache import cached_preprocess
     from ..errors import PartitionError
     from ..sparse.ops import SCATTER_SEGMENTED, ScatterStats, scatter_mode
@@ -288,66 +288,50 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
     for rank in range(p_r):
         rank_plan = plan.rank_plan(rank)
         lo, hi = layer.row_part.bounds(rank)
+        matrix = rank_plan.async_matrix
+        program = matrix.ensure_program(layer.col_part, gap)
+        req_bytes = program.req_rows * (k * 8)
         backoff_s = 0.0
-        request_seq = 0
-        stripes_data = []
-        for stripe in rank_plan.async_matrix.stripes:
-            if stripe.owner == rank:
-                raise PartitionError(
-                    f"stripe {stripe.gid} is local to rank {rank} but "
-                    "was classified asynchronous"
-                )
-            b_lo, _b_hi = layer.col_part.bounds(stripe.owner)
-            schedule = stripe.ensure_schedule(b_lo, gap)
-            if not stripe.covers_columns(schedule):
-                raise PartitionError(
-                    f"stripe {stripe.gid}: fetched rows do not cover "
-                    "the stripe's c_ids"
-                )
-            if schedule.n_chunks == 0:
-                continue
-            rows = schedule.local_rows()
-            nbytes = int(len(rows) * k * 8)
-            if faults_view is None:
-                traffic.onesided_bytes += nbytes
-                traffic.onesided_requests += 1
-                traffic._recv(layer.ranks[rank], nbytes)
-            else:
+        if faults_view is None:
+            moved = int(req_bytes.sum())
+            traffic.onesided_bytes += moved
+            traffic.onesided_requests += len(req_bytes)
+            traffic._recv(layer.ranks[rank], moved)
+        else:
+            request_seq = 0
+            for owner, nbytes in zip(
+                program.req_owners.tolist(), req_bytes.tolist()
+            ):
                 slept, request_seq = _fault_onesided(
-                    faults_view, rank, stripe.owner, layer.ranks[rank],
+                    faults_view, rank, owner, layer.ranks[rank],
                     nbytes, request_seq, traffic, resil,
                 )
                 backoff_s += slept
-            # Pre-touch every plan-resident cache so forked children
-            # inherit warm, shared (copy-on-write) schedule state.
-            if segmented:
-                reduce = stripe.ensure_reduce_schedule()
-                reduce.seg_ptrs()
-                reduce.gather_indices(schedule.packed)
-                reduce.permuted_vals(stripe.nonzeros.vals)
-            stripes_data.append(
-                (stripe, schedule.local_rows(), schedule.packed, b_lo)
-            )
+        # Pre-touch every plan-resident cache so forked children
+        # inherit warm, shared (copy-on-write) program state.
+        tiles = program.tiles(k * 8)
+        values = matrix.values(program, reduction_order=segmented)
         sync_local = rank_plan.sync_local
         csr = (
             sync_local.scipy_handle() if sync_local.nnz else None
         )
 
-        def fn(arena, _lo=lo, _hi=hi, _stripes=tuple(stripes_data),
-               _csr=csr, _sleep=backoff_s):
+        def fn(arena, _lo=lo, _hi=hi, _matrix=matrix, _program=program,
+               _tiles=tiles, _values=values, _csr=csr, _sleep=backoff_s):
             c_block = out[_lo:_hi]
             c_block[:] = 0.0
             if _sleep > 0.0:
                 time.sleep(_sleep)
             scatter = ScatterStats()
-            for stripe, rows, packed, b_lo in _stripes:
+            for tile in _tiles:
+                rows = _program.fetched_ids[tile.rows]
                 fetched = np.take(
-                    B_l[b_lo:], rows, axis=0,
+                    B_l, rows, axis=0,
                     out=arena.request("async_fetch", len(rows), k),
                 )
-                accumulate_async_stripe(
-                    c_block, fetched, stripe, packed,
-                    stripe.nonzeros.vals, segmented, arena, scatter,
+                accumulate_async_tile(
+                    c_block, fetched, _matrix, _program, tile, _values,
+                    segmented, arena, scatter,
                 )
             if _csr is not None:
                 c_block += _csr @ B_l

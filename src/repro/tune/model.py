@@ -45,7 +45,7 @@ import numpy as np
 
 from ..algorithms.base import BASE_SETUP_SECONDS
 from ..cluster.machine import MachineConfig
-from ..core.executor import TWOFACE_SETUP_SECONDS
+from ..core.executor import TWOFACE_SETUP_SECONDS, async_lane_seconds
 from ..core.formats import TransferCacheStats
 from ..core.model import CostCoefficients
 from ..core.plancache import AUTO, PlanCacheLike, cached_preprocess
@@ -539,27 +539,22 @@ class CostModel:
                 lanes.sync_comm[ranks[dest]] += cost
                 recv_bytes[dest] += nbytes
 
-        # Phases 2+3: async stripe fetch/compute and sync row panels.
+        # Phases 2+3: async stripe fetch/compute (the executor's own
+        # lane-seconds function over the rank program's requests) and
+        # sync row panels.
         max_gap = max_coalescing_gap(k)
         scratch = TransferCacheStats()
         peak_fetch = np.zeros(p_r, dtype=np.int64)
         for r in range(p_r):
             rank_plan = plan.rank_plan(r)
-            comm_seconds = 0.0
-            comp_seconds = 0.0
-            for stripe in rank_plan.async_matrix.stripes:
-                block_start, _ = stats.col_part.bounds(stripe.owner)
-                schedule = stripe.ensure_schedule(
-                    block_start, max_gap, stats=scratch
-                )
-                nbytes = int(schedule.chunk_sizes.sum()) * k * 8
-                comm_seconds += net.rget_time(
-                    nbytes, n_chunks=schedule.n_chunks
-                )
-                comp_seconds += compute.async_stripe_time(
-                    stripe.nnz, k, threads.async_comp, n_stripes=1
-                )
-                peak_fetch[r] = max(peak_fetch[r], nbytes)
+            program = rank_plan.async_matrix.ensure_program(
+                stats.col_part, max_gap, stats=scratch
+            )
+            comm_seconds, comp_seconds = async_lane_seconds(
+                net, compute, threads.async_comp, k, k * 8,
+                program.req_rows, program.req_chunks, program.req_nnz,
+            )
+            peak_fetch[r] = program.req_rows.max(initial=0) * k * 8
             node = ranks[r]
             lanes.async_comm[node] += comm_seconds / threads.async_comm
             lanes.async_comp[node] += comp_seconds

@@ -116,3 +116,27 @@ class TestAlgorithmEvents:
         result = make_algorithm("Allgather").run(A, B, tight)
         assert result.failed
         assert isinstance(result.events, list)
+
+    def test_unread_events_are_never_materialised(
+        self, inputs, small_machine, monkeypatch
+    ):
+        """``_EventRing`` builds ``CommEvent`` objects only for readers;
+        a run whose ``.events`` nobody reads must build none."""
+        from repro.cluster import simmpi
+
+        A, B = inputs
+        expected = TwoFace(stripe_width=4).run(A, B, small_machine).events
+        real, built = simmpi.CommEvent, []
+
+        def counting(*fields):
+            built.append(fields)
+            return real(*fields)
+
+        monkeypatch.setattr(simmpi, "CommEvent", counting)
+        result = TwoFace(stripe_width=4).run(A, B, small_machine)
+        assert not result.failed and result.traffic.total_bytes > 0
+        assert built == []
+        events = result.events
+        assert events == expected and len(built) == len(expected)
+        # Always the same list object, materialised once.
+        assert result.events is events and len(built) == len(expected)

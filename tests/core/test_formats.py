@@ -173,13 +173,6 @@ class TestTransferSchedule:
         assert schedule.chunks() == [(0, 2), (4, 2)]
         assert schedule.n_chunks == 2
 
-    def test_local_rows_cached(self, slab):
-        stripe = _async_stripe(slab, np.array([1, 5]))
-        schedule = stripe.build_schedule(block_start=4, max_gap=1)
-        rows = schedule.local_rows()
-        np.testing.assert_array_equal(rows, [1])
-        assert schedule.local_rows() is rows
-
     def test_schedule_matches_transfer_chunks(self, slab):
         stripe = _async_stripe(slab, np.arange(slab.nnz))
         for gap in (1, 2, 4):
@@ -257,25 +250,40 @@ class TestReduceScheduleCaching:
         first = stripe.ensure_reduce_schedule()
         assert stripe.ensure_reduce_schedule() is first
 
-    def test_gather_and_vals_identity_keyed(self, slab):
+    def test_program_values_identity_keyed(self, slab):
         """Shallow plan clones (the attention layer's value remaps)
-        share schedule objects; a fresh source array must recompute
-        rather than serve the previous plan's cache."""
-        stripe = _async_stripe(slab, np.array([0, 1, 2, 4, 5]))
-        schedule = stripe.ensure_reduce_schedule()
-        packed = np.arange(stripe.nnz, dtype=np.int64)
-        gather = schedule.gather_indices(packed)
-        assert schedule.gather_indices(packed) is gather
-        np.testing.assert_array_equal(gather, packed[schedule.order])
+        share the rank program, which is pure geometry; the permuted
+        values are keyed on the clone's own arrays, so a fresh value
+        array must recompute rather than serve the original's memo."""
+        import copy
 
-        vals = stripe.nonzeros.vals
-        perm = schedule.permuted_vals(vals)
-        assert schedule.permuted_vals(vals) is perm
-        np.testing.assert_array_equal(perm, vals[schedule.order])
-        remapped = vals * 2.0  # a clone's fresh value array
-        perm2 = schedule.permuted_vals(remapped)
+        from repro.dist import RowPartition
+
+        m = build_async_stripe_matrix(
+            0, slab,
+            {1: (0, np.array([0, 2, 3])), 2: (0, np.array([1, 5]))},
+        )
+        m.finalize_schedules(RowPartition(8, 1), max_gap=2)
+        program = m.program()
+        vals = np.concatenate([s.nonzeros.vals for s in m.stripes])
+        perm = m.values(program)
+        assert m.values(program) is perm
+        np.testing.assert_array_equal(perm, vals[program.perm])
+
+        clone = copy.copy(m)
+        clone.stripes = []
+        for stripe in m.stripes:
+            remapped = copy.copy(stripe)
+            nz = stripe.nonzeros
+            remapped.nonzeros = COOMatrix(
+                nz.rows, nz.cols, nz.vals * 2.0, nz.shape
+            )
+            clone.stripes.append(remapped)
+        assert clone.program() is program  # geometry is shared
+        perm2 = clone.values(program)
         assert perm2 is not perm
-        np.testing.assert_array_equal(perm2, remapped[schedule.order])
+        np.testing.assert_array_equal(perm2, 2.0 * vals[program.perm])
+        assert m.values(program) is perm  # the original's memo survives
 
     def test_finalize_builds_reduce_schedules(self, slab):
         from repro.dist import RowPartition
