@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..cluster.faults import RESILIENCE_STATS, ResilienceStats
-from ..cluster.simmpi import CommAccount
+from ..cluster.faults import RESILIENCE_STATS, resolve_onesided
+from ..cluster.simmpi import CommAccount, _OneSidedBatch
 from ..runtime.pool import get_exec_pool
 from .base import DistSpMMAlgorithm, RunContext
 
@@ -24,10 +24,12 @@ from .base import DistSpMMAlgorithm, RunContext
 class AsyncCoarse(DistSpMMAlgorithm):
     """Sparsity-aware only at block granularity (Table 4: MPI_Get).
 
-    Under fault injection the whole-block gets retry with exponential
-    backoff exactly like the Two-Face async lane; a block whose attempt
-    budget runs out arrives via a sync multicast from its owner instead
-    (the breakdown then shows sync-lane time the healthy run never has).
+    Under fault injection the whole-block gets go through the same
+    retry / backoff / fallback policy as the Two-Face async lane
+    (:func:`~repro.cluster.faults.resolve_onesided`); a block whose
+    attempt budget runs out arrives via a sync multicast from its owner
+    instead (the breakdown then shows sync-lane time the healthy run
+    never has).
     """
 
     name = "AsyncCoarse"
@@ -47,33 +49,38 @@ class AsyncCoarse(DistSpMMAlgorithm):
             if slab.nnz == 0:
                 return None
             account = CommAccount()
-            resil = ResilienceStats() if faults is not None else None
             needed_blocks = np.unique(ctx.B.partition.owners_of(slab.cols))
+            owners = needed_blocks[needed_blocks != rank]
             get_time = 0.0
             sync_time = 0.0
-            root_costs = []
-            request_seq = 0
-            for block_id in needed_blocks:
-                if block_id == rank:
-                    continue
-                owner = int(block_id)
-                block = ctx.B.block(owner)
-                if faults is None:
+            root_costs = ()
+            resil = None
+            if faults is None:
+                for owner in owners.tolist():
+                    block = ctx.B.block(owner)
                     ctx.mpi.get_block(
                         rank, owner, block, label="B_got",
                         charge_time=False, account=account,
                     )
                     get_time += net.rget_time(int(block.nbytes), n_chunks=1)
-                else:
-                    a_comm, s_comm, roots, request_seq = (
-                        self._resilient_get(
-                            ctx, faults, rank, owner, int(block.nbytes),
-                            account, resil, request_seq,
-                        )
-                    )
-                    get_time += a_comm
-                    sync_time += s_comm
-                    root_costs.extend(roots)
+            elif len(owners):
+                # Whole-block gets have nothing to re-chunk: one piece
+                # per request, all resident until the compute is done.
+                nbytes = np.array(
+                    [int(ctx.B.block(o).nbytes) for o in owners.tolist()]
+                )
+                outcome = resolve_onesided(
+                    faults, net, rank, owners, nbytes, 1
+                )
+                account.ops.append(_OneSidedBatch(
+                    rank, owners, nbytes, np.ones_like(nbytes), "B_got",
+                    True, outcome.failed, outcome.fallback,
+                    streamed=False, detail="B_got:block",
+                ))
+                get_time, sync_time, root_costs, resil = (
+                    outcome.async_seconds, outcome.sync_seconds,
+                    outcome.root_costs, outcome.stats,
+                )
 
             csr = slab.to_scipy().tocsr()
             ctx.C.block(rank)[:] += csr @ ctx.B.data
@@ -102,56 +109,3 @@ class AsyncCoarse(DistSpMMAlgorithm):
                 node.sync_comm += sync_time
                 for owner, cost in root_costs:
                     ctx.breakdown.node(owner).sync_comm += cost
-
-    @staticmethod
-    def _resilient_get(
-        ctx: RunContext,
-        faults,
-        rank: int,
-        owner: int,
-        nbytes: int,
-        account: CommAccount,
-        resil: ResilienceStats,
-        request_seq: int,
-    ) -> Tuple[float, float, list, int]:
-        """One whole-block get under fault injection.
-
-        Same retry/backoff/fallback policy as the Two-Face async lane,
-        with a single piece (whole-block gets have nothing to re-chunk).
-        """
-        cfg = faults.config
-        net = ctx.machine.network
-        scale = faults.link_scale(owner, rank)
-        async_comm = 0.0
-        sync_comm = 0.0
-        root_costs = []
-        attempt = 0
-        while True:
-            if not faults.rget_attempt_fails(
-                rank, owner, request_seq, attempt
-            ):
-                ctx.mpi.deferred_rget_charge(
-                    rank, owner, nbytes, 1, "B_got", "B_got:block", account,
-                )
-                async_comm += scale * net.rget_time(nbytes, n_chunks=1)
-                break
-            resil.rget_failures += 1
-            async_comm += scale * net.rget_time(nbytes, n_chunks=1)
-            ctx.mpi.deferred_rget_failure(
-                rank, owner, nbytes, f"B_got:attempt{attempt}", account,
-            )
-            attempt += 1
-            if attempt >= cfg.rget_max_attempts:
-                resil.lane_fallbacks += 1
-                ctx.mpi.deferred_fallback_multicast(
-                    owner, rank, nbytes, "B_got", "B_got:fallback", account,
-                )
-                cost = scale * net.bcast_time(nbytes, 1)
-                sync_comm += cost
-                root_costs.append((owner, cost))
-                break
-            backoff = cfg.rget_backoff_base * (2 ** (attempt - 1))
-            resil.retries += 1
-            resil.backoff_seconds += backoff
-            async_comm += backoff
-        return async_comm, sync_comm, root_costs, request_seq + 1

@@ -62,9 +62,9 @@ class SubFaultPlan:
     def __init__(self, parent, ranks: Sequence[int]):
         self.parent = parent
         self.config = parent.config
-        self._global = tuple(ranks)
+        self._global = np.asarray(ranks)
 
-    def link_scale(self, src: int, dst: int) -> float:
+    def link_scale(self, src, dst):
         """Multiplier of the local link ``src -> dst``."""
         return self.parent.link_scale(self._global[src], self._global[dst])
 
@@ -80,13 +80,10 @@ class SubFaultPlan:
         """Memory-pressure fraction of local ``rank``."""
         return self.parent.squeeze_fraction(self._global[rank])
 
-    def rget_attempt_fails(
-        self, origin: int, target: int, request_index: int, attempt: int
-    ) -> bool:
-        """Failure decision for a local origin/target pair."""
-        return self.parent.rget_attempt_fails(
-            self._global[origin], self._global[target],
-            request_index, attempt,
+    def rget_failed_attempts(self, origin: int, targets, first_seq: int = 0):
+        """Failed-attempt counts of a local origin's requests."""
+        return self.parent.rget_failed_attempts(
+            self._global[origin], self._global[targets], first_seq
         )
 
     def describe(self) -> dict:

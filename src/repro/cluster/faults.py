@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -57,27 +59,37 @@ _STREAM_SQUEEZE = 0x4
 _STREAM_CRASH = 0x5
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _mix64(x: int) -> int:
-    """The splitmix64 finaliser: a high-quality 64-bit bijection."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _mix64(x):
+    """The splitmix64 finaliser: a high-quality 64-bit bijection
+    (``uint64`` scalar or array; arithmetic wraps mod 2**64)."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> 31)
 
 
-def _u01(seed: int, *keys: int) -> float:
+def _u01(seed: int, *keys):
     """A uniform draw in [0, 1) keyed by ``(seed, *keys)``.
 
     Counter-based (no RNG state), so decisions are independent of the
     order in which they are asked for — the property that makes fault
-    injection width- and mode-blind.
+    injection width- and mode-blind.  A key may be an integer array:
+    the keys broadcast and every element is the draw the same scalar
+    keys give, so a whole table of decisions is one pass.
     """
-    h = _mix64(seed & _MASK64)
-    for key in keys:
-        h = _mix64(h ^ ((key & _MASK64) * 0x9E3779B97F4A7C15 & _MASK64))
-    return (h >> 11) * (1.0 / (1 << 53))
+    with np.errstate(over="ignore"):  # uint64 scalars warn on wrap-around
+        h = _mix64(np.uint64(seed & _MASK64))
+        for key in keys:
+            key = (
+                np.uint64(key & _MASK64) if isinstance(key, int)
+                else np.asarray(key).astype(np.uint64)
+            )
+            h = _mix64(h ^ (key * _GOLDEN))
+    u = (h >> 11) * (1.0 / (1 << 53))
+    return u if u.ndim else float(u)
 
 
 @dataclass(frozen=True)
@@ -222,50 +234,63 @@ class FaultPlan:
         self.config = config
         self.n_nodes = n_nodes
         seed = config.seed
-        self._skew = tuple(
-            config.straggler_skew
-            if _u01(seed, _STREAM_STRAGGLER, rank) < config.straggler_rate
-            else 1.0
-            for rank in range(n_nodes)
+        ranks = np.arange(n_nodes)
+        self._skew = tuple(np.where(
+            _u01(seed, _STREAM_STRAGGLER, ranks) < config.straggler_rate,
+            config.straggler_skew, 1.0,
+        ).tolist())
+        self._squeeze = tuple(np.where(
+            _u01(seed, _STREAM_SQUEEZE, ranks) < config.memory_pressure_rate,
+            config.memory_pressure_fraction, 0.0,
+        ).tolist())
+        #: Ordered links ``[src, dst]`` drawn degraded, and their dense
+        #: cost-multiplier table (1.0 elsewhere).
+        self._degraded = (
+            _u01(seed, _STREAM_LINK, ranks[:, None], ranks[None, :])
+            < config.link_degradation_rate
+        ) & (ranks[:, None] != ranks[None, :])
+        self._scale = np.where(
+            self._degraded, config.link_degradation_factor, 1.0
         )
-        self._squeeze = tuple(
-            config.memory_pressure_fraction
-            if _u01(seed, _STREAM_SQUEEZE, rank) < config.memory_pressure_rate
-            else 0.0
-            for rank in range(n_nodes)
-        )
-        self._link = {}
-        if config.link_degradation_rate > 0.0:
-            for src in range(n_nodes):
-                for dst in range(n_nodes):
-                    if src == dst:
-                        continue
-                    if (
-                        _u01(seed, _STREAM_LINK, src, dst)
-                        < config.link_degradation_rate
-                    ):
-                        self._link[(src, dst)] = config.link_degradation_factor
+        self._worst_incoming = tuple(self._scale.max(axis=0).tolist())
 
     # ------------------------------------------------------------------
+    def rget_failed_attempts(
+        self, origin: int, targets, first_seq: int = 0,
+        attempts: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """How many attempts of each one-sided request fail in a row.
+
+        Request ``i`` is the origin's ``first_seq + i``-th (its own
+        sequence number, so the answer never depends on how other
+        ranks' requests interleave) and goes to ``targets[i]``.  The
+        count runs over ``attempts`` in order — by default the whole
+        budget ``0..rget_max_attempts-1`` — and stops at the first
+        success, so it equals ``len(attempts)`` exactly when the budget
+        is exhausted.  One array draw for the whole table.
+        """
+        targets = np.asarray(targets)
+        rate = self.config.rget_failure_rate
+        if rate <= 0.0:
+            return np.zeros(len(targets), dtype=np.int64)
+        if attempts is None:
+            attempts = range(self.config.rget_max_attempts)
+        fails = _u01(
+            self.config.seed, _STREAM_RGET, origin, targets[:, None],
+            first_seq + np.arange(len(targets))[:, None],
+            np.asarray(attempts)[None, :],
+        ) < rate
+        return np.logical_and.accumulate(fails, axis=1).sum(axis=1)
+
     def rget_attempt_fails(
         self, origin: int, target: int, request_index: int, attempt: int
     ) -> bool:
         """Does attempt ``attempt`` of the origin's ``request_index``-th
-        one-sided request (to ``target``) fail?
-
-        ``request_index`` is the origin rank's own sequence number, so
-        the answer never depends on how other ranks' requests
-        interleave.
-        """
-        rate = self.config.rget_failure_rate
-        if rate <= 0.0:
-            return False
-        return (
-            _u01(
-                self.config.seed, _STREAM_RGET,
-                origin, target, request_index, attempt,
-            )
-            < rate
+        one-sided request (to ``target``) fail?"""
+        return bool(
+            self.rget_failed_attempts(
+                origin, [target], request_index, attempts=(attempt,)
+            )[0]
         )
 
     def crash_rank(self) -> Optional[int]:
@@ -286,22 +311,16 @@ class FaultPlan:
             * self.n_nodes
         )
 
-    def link_scale(self, src: int, dst: int) -> float:
-        """Transfer-cost multiplier of the ordered link ``src -> dst``."""
-        return self._link.get((src, dst), 1.0)
+    def link_scale(self, src, dst):
+        """Transfer-cost multiplier of the ordered link ``src -> dst``
+        (either end may be an array of ranks)."""
+        scale = self._scale[src, dst]
+        return scale if scale.ndim else float(scale)
 
     def worst_incoming_scale(self, rank: int) -> float:
         """The slowest link into ``rank`` (collective-step multiplier:
         a ring/tree collective moves at the pace of the worst hop)."""
-        if not self._link:
-            return 1.0
-        return max(
-            (
-                scale for (src, dst), scale in self._link.items()
-                if dst == rank
-            ),
-            default=1.0,
-        )
+        return self._worst_incoming[rank]
 
     def compute_skew(self, rank: int) -> float:
         """Clock-skew multiplier of ``rank``'s compute charges."""
@@ -323,14 +342,14 @@ class FaultPlan:
         )
 
     def degraded_links(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._link))
+        return tuple(map(tuple, np.argwhere(self._degraded).tolist()))
 
     def describe(self) -> dict:
         """Summary counts for reports and the ``repro chaos`` table."""
         return {
             "seed": self.config.seed,
             "stragglers": len(self.straggler_ranks()),
-            "degraded_links": len(self._link),
+            "degraded_links": int(self._degraded.sum()),
             "squeezed_nodes": len(self.squeezed_ranks()),
         }
 
@@ -398,6 +417,114 @@ class ResilienceStats:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+class OneSidedOutcome(NamedTuple):
+    """What a rank's one-sided requests cost under fault injection.
+
+    Attributes:
+        async_seconds: the origin's one-sided lane — timeouts of failed
+            attempts, backoffs, and the gets that succeeded.
+        sync_seconds: the origin's collective lane — fallback
+            multicasts it received.
+        failed: per piece, attempts that failed before it was served.
+        fallback: per piece, whether its attempt budget ran out.
+        root_costs: ``(owner, seconds)`` per fallen-back piece, piece
+            order — what each owner pays to push the rows.
+        stats: counter deltas (re-chunk fields are the caller's).
+    """
+
+    async_seconds: float
+    sync_seconds: float
+    failed: np.ndarray
+    fallback: np.ndarray
+    root_costs: Tuple[Tuple[int, float], ...]
+    stats: ResilienceStats
+
+
+def resolve_onesided(
+    faults, net, origin: int, targets: np.ndarray, nbytes: np.ndarray,
+    n_chunks, request_of: Optional[np.ndarray] = None,
+) -> OneSidedOutcome:
+    """The retry / backoff / fallback policy of one-sided requests.
+
+    The single definition every resilient lane charges by (the Two-Face
+    executor, ``AsyncCoarse`` and the shared-memory driver).  A *piece*
+    is one ``MPI_Rget`` as issued — a whole request, or one part of a
+    request re-chunked to fit squeezed memory — and takes the origin's
+    next request sequence number.  Per piece, in order: each failed
+    attempt burns its timeout (the full modelled transfer time before
+    the failure is detected) and is followed by an exponential backoff
+    and a retry — or, once ``rget_max_attempts`` have failed, by the
+    owner pushing the rows down the sync multicast lane at collective
+    rates; a successful attempt pays the transfer.  Everything moves
+    over the (possibly degraded) link from the piece's owner.
+
+    Attempt outcomes are one array draw.  Float folds are left to right
+    exactly as a ``+=`` loop over attempts, pieces and requests would
+    run them: the pieces of one request continue one accumulator,
+    request totals are folded with ``cumsum`` — so the seconds are
+    bit-identical to that loop's.
+
+    Args:
+        faults: the run's :class:`FaultPlan` (or a layer's view of it).
+        net: the interconnect cost model.
+        targets / nbytes / n_chunks: per piece, owning rank, payload
+            bytes and rget chunks.
+        request_of: per piece, the (ascending) request it belongs to;
+            None when every request is one piece.
+    """
+    config = faults.config
+    budget = config.rget_max_attempts
+    n = len(targets)
+    failed = faults.rget_failed_attempts(origin, targets)
+    fallback = failed >= budget
+    n_failed = int(failed.sum())
+    n_fallback = int(np.count_nonzero(fallback))
+    stats = ResilienceStats(
+        rget_failures=n_failed, retries=n_failed - n_fallback,
+        lane_fallbacks=n_fallback,
+    )
+    if not n:
+        return OneSidedOutcome(0.0, 0.0, failed, fallback, (), stats)
+    scales = faults.link_scale(targets, origin)
+    get_cost = scales * net.rget_time(nbytes, n_chunks=n_chunks)
+    push_cost = np.where(fallback, scales * net.bcast_time(nbytes, 1), 0.0)
+    backoffs = [
+        config.rget_backoff_base * (2 ** retry) for retry in range(budget - 1)
+    ]
+    if request_of is None:
+        request_of = np.arange(n)
+        rounds = [slice(None)]
+    else:
+        # Round r holds every request's r-th piece: distinct requests,
+        # so each round is one vector update of the accumulators.
+        first = np.flatnonzero(np.diff(request_of, prepend=-1))
+        nth = np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))
+        rounds = [np.flatnonzero(nth == r) for r in range(int(nth.max()) + 1)]
+    async_seconds = np.zeros(int(request_of[-1]) + 1)
+    sync_seconds = np.zeros_like(async_seconds)
+    for pieces in rounds:
+        requests = request_of[pieces]
+        fails = failed[pieces]
+        acc = async_seconds[requests]
+        for attempt in range(budget):
+            acc += np.where(fails >= attempt, get_cost[pieces], 0.0)
+            if attempt + 1 < budget:
+                acc += np.where(fails > attempt, backoffs[attempt], 0.0)
+        async_seconds[requests] = acc
+        sync_seconds[requests] += push_cost[pieces]
+    if backoffs:
+        stats.backoff_seconds = float(np.cumsum(np.where(
+            failed[:, None] > np.arange(budget - 1), backoffs, 0.0
+        ))[-1])
+    return OneSidedOutcome(
+        float(np.cumsum(async_seconds)[-1]),
+        float(np.cumsum(sync_seconds)[-1]),
+        failed, fallback,
+        tuple(zip(targets[fallback].tolist(), push_cost[fallback].tolist())),
+        stats,
+    )
 
 
 #: Process-global counters; pooled rank bodies fill local records that

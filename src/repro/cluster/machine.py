@@ -142,6 +142,19 @@ class MemoryLedger:
             self.allocate(name, int(rest[-1]))
         return 1 + fit
 
+    def allocate_stacked(self, name: str, sizes: np.ndarray) -> int:
+        """Charge a stream of requests that all stay resident.
+
+        Equivalent to ``allocate(name, size)`` for every size in turn,
+        with the same early stop and return value as
+        :meth:`allocate_streamed`.
+        """
+        totals = self._current + np.cumsum(sizes)
+        fit = int(np.searchsorted(totals, self._capacity, side="right"))
+        if fit:
+            self.allocate(name, int(totals[fit - 1]) - self._current)
+        return fit
+
 
 class SimNode:
     """One simulated rank: a clock plus a memory ledger."""

@@ -128,7 +128,10 @@ class NetworkModel:
         arrays (one entry per request); each element then goes through
         the same IEEE operations, in the same order, as a scalar call.
         """
-        if np.any(np.less_equal(n_chunks, 0)):
+        if (
+            n_chunks <= 0 if isinstance(n_chunks, int)
+            else np.any(np.less_equal(n_chunks, 0))
+        ):
             raise ConfigurationError(f"n_chunks must be positive: {n_chunks}")
         chunk_overhead = 0.15 * self.alpha_rget * (n_chunks - 1)
         return self.alpha_rget + chunk_overhead + self.beta_rget * nbytes

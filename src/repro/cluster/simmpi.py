@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -189,6 +189,16 @@ class _EventRing:
         return events
 
 
+def _first_seen(codes: np.ndarray):
+    """``codes``' distinct values in order of first appearance (a
+    list), and per element its index into them."""
+    values = codes.tolist()
+    index = {c: i for i, c in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(
+        map(index.__getitem__, values), np.intp, len(values)
+    )
+
+
 @dataclass(frozen=True)
 class _OneSidedCharge:
     """Accounting of one MPI_Rget/MPI_Get, applied now or deferred.
@@ -228,18 +238,29 @@ class _OneSidedCharge:
 
 @dataclass(frozen=True)
 class _OneSidedBatch:
-    """Accounting of a stream of MPI_Rgets landing in one reused buffer.
+    """Accounting of a stream of one-sided requests from one rank.
 
-    One record stands for ``len(nbytes)`` requests issued back to back
-    by ``origin``; applying it leaves every piece of shared state —
-    ledger (including its peak), traffic counters, event log — exactly
-    as applying one :class:`_OneSidedCharge` per request would, with a
-    ``free(label)`` between consecutive requests (each request's rows
-    are consumed before the next lands; the last stays charged, as
-    after a single get).  An allocation that does not fit raises the
-    same :class:`~repro.errors.OutOfMemoryError` at the same request,
-    with the same prefix applied.  Clock time is charged by the caller
-    into the breakdown, not here.
+    One record stands for ``len(nbytes)`` pieces (``MPI_Rget``s as
+    issued) fetched back to back by ``origin``; applying it leaves
+    every piece of shared state — ledger (including its peak), traffic
+    counters, event log — exactly as one :class:`_OneSidedCharge` per
+    piece would.  ``streamed`` pieces land in one reused buffer: a
+    ``free(label)`` separates consecutive pieces (each piece's rows are
+    consumed before the next lands; the last stays charged, as after a
+    single get); otherwise they pile up under ``label``.  An allocation
+    that does not fit raises the same
+    :class:`~repro.errors.OutOfMemoryError` at the same piece, with the
+    same prefix applied.  Clock time is charged by the caller into the
+    breakdown, not here.
+
+    Under fault injection ``failed[i]`` attempts of piece ``i`` fail
+    first and ``fallback[i]`` says its attempt budget ran out
+    (:func:`~repro.cluster.faults.resolve_onesided`).  Failed attempts
+    move no payload, so they only show in the event log: ``rget-fail``
+    rows ``{label}:attempt0..``, then the piece's ``rget`` row — or,
+    for a fallback, the ``multicast`` row ``{label}:fallback`` of its
+    owner pushing the rows down the sync lane, counted as collective
+    traffic.
     """
 
     origin: int
@@ -248,72 +269,29 @@ class _OneSidedBatch:
     n_chunks: np.ndarray
     label: str
     charge_memory: bool
+    failed: Optional[np.ndarray] = None
+    fallback: Optional[np.ndarray] = None
+    streamed: bool = True
+    #: Event detail of a successful get; default ``{label}:{n}chunks``.
+    detail: Optional[str] = None
 
     def apply(self, mpi: "SimMPI") -> None:
         n = len(self.nbytes)
         done = n
         if self.charge_memory:
             ledger = mpi.cluster.node(self.origin).memory
-            done = ledger.allocate_streamed(self.label, self.nbytes)
-        moved = int(self.nbytes[:done].sum())
-        mpi.traffic.onesided_bytes += moved
-        mpi.traffic.onesided_requests += done
-        mpi.traffic._recv(self.origin, moved)
-        mpi._log_rgets(
-            self.targets[:done], self.origin, self.nbytes[:done],
-            self.n_chunks[:done], self.label,
+            allocate = (
+                ledger.allocate_streamed if self.streamed
+                else ledger.allocate_stacked
+            )
+            done = allocate(self.label, self.nbytes)
+        mpi.traffic.count_onesided(
+            self.origin, self.nbytes[:done],
+            None if self.fallback is None else self.fallback[:done],
         )
+        mpi._log_onesided(self, done)
         if done < n:
             ledger.allocate(self.label, int(self.nbytes[done]))
-
-
-@dataclass(frozen=True)
-class _RgetFailureEvent:
-    """Record of a failed one-sided attempt (fault injection).
-
-    Failed attempts move no payload, so traffic byte/request counters
-    are untouched; the event log keeps the failure visible (and, being
-    a deferred op, width-deterministic).
-    """
-
-    origin: int
-    target: int
-    nbytes: int
-    detail: str
-
-    def apply(self, mpi: "SimMPI") -> None:
-        mpi._log(
-            "rget-fail", self.target, self.origin, self.nbytes, self.detail
-        )
-
-
-@dataclass(frozen=True)
-class _FallbackMulticastCharge:
-    """Accounting of a sync-lane fallback transfer (fault injection).
-
-    When an async stripe exhausts its retry budget, its rows arrive via
-    the sync multicast lane instead: collective traffic, a multicast
-    event, and the destination ledger charge.  Clock time is charged by
-    the executor into the breakdown (like every other executor-issued
-    transfer), not here.
-    """
-
-    root: int
-    dest: int
-    nbytes: int
-    label: str
-    detail: str
-    charge_memory: bool
-
-    def apply(self, mpi: "SimMPI") -> None:
-        if self.charge_memory:
-            mpi.cluster.node(self.dest).memory.allocate(
-                self.label, self.nbytes
-            )
-        mpi.traffic.collective_bytes += self.nbytes
-        mpi.traffic.collective_ops += 1
-        mpi.traffic._recv(self.dest, self.nbytes)
-        mpi._log("multicast", self.root, self.dest, self.nbytes, self.detail)
 
 
 @dataclass(frozen=True)
@@ -392,6 +370,23 @@ class TrafficStats:
     def _recv(self, rank: int, nbytes: int) -> None:
         self.per_node_recv_bytes[rank] += nbytes
 
+    def count_onesided(
+        self, rank: int, nbytes: np.ndarray,
+        fallback: Optional[np.ndarray] = None,
+    ) -> None:
+        """Count ``len(nbytes)`` one-sided requests landing on ``rank``;
+        those flagged ``fallback`` arrived by sync multicast instead."""
+        moved = int(nbytes.sum())
+        pushed = n_pushed = 0
+        if fallback is not None:
+            pushed = int(nbytes[fallback].sum())
+            n_pushed = int(np.count_nonzero(fallback))
+        self.onesided_bytes += moved - pushed
+        self.onesided_requests += len(nbytes) - n_pushed
+        self.collective_bytes += pushed
+        self.collective_ops += n_pushed
+        self._recv(rank, moved)
+
     def add_dim_bytes(self, dim: str, nbytes: int) -> None:
         """Attribute ``nbytes`` to a grid communication dimension."""
         if dim:
@@ -428,24 +423,54 @@ class SimMPI:
         else:
             self._count_dropped(1)
 
-    def _log_rgets(
-        self, targets: np.ndarray, origin: int, nbytes: np.ndarray,
-        n_chunks: np.ndarray, label: str,
-    ) -> None:
-        """:meth:`_log` for a stream of rgets, in one ring append."""
+    def _log_onesided(self, batch: _OneSidedBatch, done: int) -> None:
+        """:meth:`_log` every event row of a batch's first ``done``
+        pieces — plus the failed attempts of the piece after them,
+        logged before its allocation raised — in one ring append."""
         if not self._record:
             return
-        kept = min(len(nbytes), MAX_RECORDED_EVENTS - self._ring.count)
-        if kept:
-            counts = n_chunks[:kept].tolist()
-            # Distinct chunk counts, in order of first appearance.
-            code = {c: i for i, c in enumerate(dict.fromkeys(counts))}
-            self._ring.extend(
-                ["rget"], 0, targets[:kept], origin, nbytes[:kept],
-                [f"{label}:{c}chunks" for c in code],
-                np.fromiter(map(code.__getitem__, counts), np.intp, kept),
+        # Per row: who served it, its bytes, and a code — a failed
+        # attempt is -1 - attempt, the fallback multicast 0, a
+        # successful get its chunk count.
+        if batch.failed is None:
+            targets, nbytes = batch.targets[:done], batch.nbytes[:done]
+            code = batch.n_chunks[:done]
+        else:
+            upto = min(done + 1, len(batch.nbytes))
+            failed = batch.failed[:upto]
+            rows_of = failed + (np.arange(upto) < done)
+            piece = np.repeat(np.arange(upto), rows_of)
+            attempt = np.arange(len(piece)) - (
+                np.cumsum(rows_of) - rows_of
+            )[piece]
+            targets, nbytes = batch.targets[piece], batch.nbytes[piece]
+            code = np.where(
+                attempt < failed[piece], -1 - attempt,
+                np.where(batch.fallback[piece], 0, batch.n_chunks[piece]),
             )
-        self._count_dropped(len(nbytes) - kept)
+        kept = min(len(code), MAX_RECORDED_EVENTS - self._ring.count)
+        if kept:
+            codes, detail_of = _first_seen(code[:kept])
+            kind_of_code = [
+                "rget-fail" if c < 0 else "rget" if c else "multicast"
+                for c in codes
+            ]
+            kinds = list(dict.fromkeys(kind_of_code))
+            label = batch.label
+            self._ring.extend(
+                kinds,
+                np.array([kinds.index(k) for k in kind_of_code])[detail_of]
+                if len(kinds) > 1 else 0,
+                targets[:kept], batch.origin, nbytes[:kept],
+                [
+                    f"{label}:attempt{-1 - c}" if c < 0
+                    else batch.detail or f"{label}:{c}chunks" if c
+                    else f"{label}:fallback"
+                    for c in codes
+                ],
+                detail_of,
+            )
+        self._count_dropped(len(code) - kept)
 
     def _count_dropped(self, dropped: int) -> None:
         """Count events the full log could not retain; warn on the first."""
@@ -964,67 +989,13 @@ class SimMPI:
             op.apply(self)
 
     # ------------------------------------------------------------------
-    # Fault-injection hooks (resilient executor lanes)
+    # Fault injection
     # ------------------------------------------------------------------
     def _rget_scale(self, origin: int, target: int) -> float:
         """Link multiplier of a one-sided get (data flows target->origin)."""
         if self.faults is None:
             return 1.0
         return self.faults.link_scale(target, origin)
-
-    def deferred_rget_charge(
-        self,
-        origin: int,
-        target: int,
-        nbytes: int,
-        n_chunks: int,
-        label: str,
-        detail: str,
-        account: "CommAccount",
-        charge_memory: bool = True,
-        charge_time: bool = False,
-    ) -> None:
-        """Append a bare rget accounting op (no data movement).
-
-        The resilient async lane separates data movement (one gather
-        for the whole stripe) from accounting (one charge per re-chunk
-        piece); this exposes the charge alone.
-        """
-        account.ops.append(
-            _OneSidedCharge(
-                origin, target, nbytes, n_chunks, label, detail,
-                charge_memory, charge_time,
-                self._rget_scale(origin, target),
-            )
-        )
-
-    def deferred_rget_failure(
-        self,
-        origin: int,
-        target: int,
-        nbytes: int,
-        detail: str,
-        account: "CommAccount",
-    ) -> None:
-        """Append a failed-attempt event (fault injection)."""
-        account.ops.append(_RgetFailureEvent(origin, target, nbytes, detail))
-
-    def deferred_fallback_multicast(
-        self,
-        root: int,
-        dest: int,
-        nbytes: int,
-        label: str,
-        detail: str,
-        account: "CommAccount",
-        charge_memory: bool = True,
-    ) -> None:
-        """Append the accounting of a sync-lane fallback transfer."""
-        account.ops.append(
-            _FallbackMulticastCharge(
-                root, dest, nbytes, label, detail, charge_memory
-            )
-        )
 
     # ------------------------------------------------------------------
     # Utilities

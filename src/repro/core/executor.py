@@ -36,8 +36,13 @@ import numpy as np
 
 from ..algorithms.base import RunContext
 from ..cluster.buffers import local_arena
-from ..cluster.faults import RESILIENCE_STATS, FaultPlan, ResilienceStats
-from ..cluster.simmpi import CommAccount
+from ..cluster.faults import (
+    RESILIENCE_STATS,
+    FaultPlan,
+    ResilienceStats,
+    resolve_onesided,
+)
+from ..cluster.simmpi import CommAccount, _OneSidedBatch
 from ..errors import OutOfMemoryError, PartitionError
 from ..runtime.pool import get_exec_pool
 from ..runtime.threads import max_coalescing_gap
@@ -303,135 +308,105 @@ class _AsyncRankRecord:
 
 def _rechunk_boundaries(
     chunk_sizes: np.ndarray, max_piece_rows: int
-) -> Optional[List[Tuple[int, int, int]]]:
+) -> Optional[Tuple[List[int], List[int]]]:
     """Split a schedule's chunks into contiguous pieces that fit memory.
 
-    Returns ``(chunk_lo, chunk_hi, piece_rows)`` triples covering the
-    chunks in order, each piece at most ``max_piece_rows`` rows — or
-    None when a single chunk alone exceeds the budget (a genuine OOM).
-    The greedy left-to-right split is a pure function of the schedule
-    and the budget, so re-chunking is deterministic.
+    Returns the pieces' ``(rows, chunks)`` counts, covering the chunks
+    in order, each piece at most ``max_piece_rows`` rows — or None when
+    a single chunk alone exceeds the budget (a genuine OOM).  The
+    greedy left-to-right split is a pure function of the schedule and
+    the budget, so re-chunking is deterministic.
     """
-    pieces: List[Tuple[int, int, int]] = []
-    lo = 0
-    acc = 0
-    for i, size in enumerate(chunk_sizes.tolist()):
+    rows, chunks = [0], [0]
+    for size in chunk_sizes.tolist():
         if size > max_piece_rows:
             return None
-        if acc + size > max_piece_rows:
-            pieces.append((lo, i, acc))
-            lo, acc = i, 0
-        acc += size
-    pieces.append((lo, len(chunk_sizes), acc))
-    return pieces
+        if rows[-1] + size > max_piece_rows:
+            rows.append(0)
+            chunks.append(0)
+        rows[-1] += size
+        chunks[-1] += 1
+    return rows, chunks
 
 
 def _resilient_fetch_accounting(
     ctx: RunContext,
     faults: FaultPlan,
     rank: int,
-    owner: int,
-    schedule,
+    program,
     row_bytes: int,
-    headroom: int,
     account: CommAccount,
-    resil: ResilienceStats,
-    request_seq: int,
-) -> Tuple[float, float, List[Tuple[int, float]], int]:
-    """Charge one async stripe's fetch under fault injection.
+) -> Tuple[float, float, Tuple[Tuple[int, float], ...], ResilienceStats]:
+    """Charge one rank's async fetches under fault injection.
 
     The data itself was already gathered (host views cannot fail); this
-    models what the simulated cluster *pays* for it: per-piece rget
-    requests (re-chunked to fit squeezed memory), failed attempts that
-    burn their timeout budget, exponential backoff before retries, and
-    sync-lane fallback multicasts once the attempt budget is exhausted.
+    models what the simulated cluster *pays* for it.  A request that
+    exceeds the rank's memory headroom is re-chunked into pieces that
+    fit (streamed through one buffer, so the ledger peak is one piece,
+    not the whole stripe); every piece is one rget as issued — the
+    rank's own request sequence numbers advance per piece — resolved by
+    the shared policy (:func:`~repro.cluster.faults.resolve_onesided`)
+    and booked as one batched accounting record.
 
     Returns ``(async_comm_seconds, sync_comm_seconds,
-    fallback_root_costs, next_request_seq)``.
+    fallback_root_costs, resilience_stats)``.
     """
-    cfg = faults.config
-    net = ctx.machine.network
-    scale = faults.link_scale(owner, rank)
-    total_rows = int(schedule.chunk_sizes.sum())
-    total_bytes = total_rows * row_bytes
+    # The ledger is static while rank bodies run (deferred accounting
+    # replays after the pool joins) and every piece frees its rows, so
+    # one headroom figure serves the whole body — deterministically,
+    # at any pool width.
     ledger = ctx.cluster.node(rank).memory
-
-    if total_bytes <= headroom:
-        pieces = [(0, schedule.n_chunks, total_rows)]
-    else:
-        max_piece_rows = headroom // row_bytes
-        pieces = (
-            _rechunk_boundaries(schedule.chunk_sizes, max_piece_rows)
-            if max_piece_rows > 0 else None
+    headroom = ledger.capacity - ledger.current
+    owners = program.req_owners
+    nbytes = program.req_rows * row_bytes
+    n_chunks = program.req_chunks
+    request_of = None
+    oversized = np.flatnonzero(nbytes > headroom).tolist()
+    if oversized:
+        rows = [[r] for r in program.req_rows.tolist()]
+        chunks = [[c] for c in n_chunks.tolist()]
+        for i in oversized:
+            pieces = _rechunk_boundaries(
+                program.chunk_sizes[program.req_ptr[i]:program.req_ptr[i + 1]],
+                headroom // row_bytes,
+            )
+            if pieces is None:
+                total_bytes = int(nbytes[i])
+                oom = OutOfMemoryError(
+                    rank, ledger.current + total_bytes, ledger.capacity
+                )
+                if hasattr(oom, "add_note"):  # 3.11+
+                    oom.add_note(
+                        f"async stripe fetch of {total_bytes} B cannot be "
+                        f"re-chunked into the {headroom} B left by injected "
+                        "memory pressure"
+                    )
+                raise oom
+            rows[i], chunks[i] = pieces
+        request_of = np.repeat(
+            np.arange(len(rows)), [len(pieces) for pieces in rows]
         )
-        if pieces is None:
-            oom = OutOfMemoryError(
-                rank, ledger.current + total_bytes, ledger.capacity
-            )
-            if hasattr(oom, "add_note"):  # 3.11+
-                oom.add_note(
-                    f"async stripe fetch of {total_bytes} B cannot be "
-                    f"re-chunked into the {headroom} B left by injected "
-                    "memory pressure"
-                )
-            raise oom
-        resil.rechunked_stripes += 1
-        resil.rechunk_pieces += len(pieces)
-
-    async_comm = 0.0
-    sync_comm = 0.0
-    root_costs: List[Tuple[int, float]] = []
-    for piece_idx, (chunk_lo, chunk_hi, piece_rows) in enumerate(pieces):
-        if piece_idx:
-            # Streamed re-chunking: the previous piece's rows are
-            # consumed and released before the next piece arrives, so
-            # the ledger peak is one piece, not the whole stripe.
-            account.free(rank, "async_rows")
-        piece_bytes = piece_rows * row_bytes
-        piece_chunks = chunk_hi - chunk_lo
-        attempt = 0
-        while True:
-            if not faults.rget_attempt_fails(
-                rank, owner, request_seq, attempt
-            ):
-                ctx.mpi.deferred_rget_charge(
-                    rank, owner, piece_bytes, piece_chunks, "async_rows",
-                    f"async_rows:{piece_chunks}chunks", account,
-                )
-                async_comm += scale * net.rget_time(
-                    piece_bytes, n_chunks=piece_chunks
-                )
-                break
-            resil.rget_failures += 1
-            # The failed attempt burns its timeout budget: the full
-            # modeled transfer time before the failure is detected.
-            async_comm += scale * net.rget_time(
-                piece_bytes, n_chunks=piece_chunks
-            )
-            ctx.mpi.deferred_rget_failure(
-                rank, owner, piece_bytes,
-                f"async_rows:attempt{attempt}", account,
-            )
-            attempt += 1
-            if attempt >= cfg.rget_max_attempts:
-                # Retry budget exhausted: this piece degrades to the
-                # sync multicast lane (owner pushes the rows), at
-                # collective rates, still over the degraded link.
-                resil.lane_fallbacks += 1
-                ctx.mpi.deferred_fallback_multicast(
-                    owner, rank, piece_bytes, "async_rows",
-                    "async_rows:fallback", account,
-                )
-                cost = scale * net.bcast_time(piece_bytes, 1)
-                sync_comm += cost
-                root_costs.append((owner, cost))
-                break
-            backoff = cfg.rget_backoff_base * (2 ** (attempt - 1))
-            resil.retries += 1
-            resil.backoff_seconds += backoff
-            async_comm += backoff
-        request_seq += 1
-    return async_comm, sync_comm, root_costs, request_seq
+        owners = owners[request_of]
+        nbytes = np.concatenate(rows) * row_bytes
+        n_chunks = np.concatenate(chunks)
+    outcome = resolve_onesided(
+        faults, ctx.machine.network, rank, owners, nbytes, n_chunks,
+        request_of,
+    )
+    if len(nbytes):
+        account.ops.append(_OneSidedBatch(
+            rank, owners, nbytes, n_chunks, "async_rows", True,
+            outcome.failed, outcome.fallback,
+        ))
+        account.free(rank, "async_rows")
+    resil = outcome.stats
+    resil.rechunked_stripes = len(oversized)
+    resil.rechunk_pieces = (
+        len(nbytes) - len(program.req_rows) + len(oversized)
+    )
+    return (
+        outcome.async_seconds, outcome.sync_seconds, outcome.root_costs, resil
+    )
 
 
 def _async_lane(
@@ -475,7 +450,7 @@ def _async_lane(
         values = matrix.values(program, keep, reduction_order=segmented)
         # One gather and one reduction per tile.  With faults the data
         # movement is the same (host views cannot fail); what the
-        # simulated cluster pays is modelled per piece/attempt below.
+        # simulated cluster pays is modelled for the whole rank below.
         for tile in program.tiles(row_bytes):
             rows = program.fetched_ids[tile.rows]
             out = arena.request(
@@ -509,29 +484,11 @@ def _async_lane(
             return _AsyncRankRecord(
                 account, cache, scatter, comm_seconds, comp_seconds
             )
-        # The ledger is static while rank bodies run (deferred
-        # accounting replays after the pool joins), and every stripe
-        # frees its rows, so one headroom figure serves the whole body
-        # — deterministically, at any pool width.
-        ledger = ctx.cluster.node(rank).memory
-        headroom = ledger.capacity - ledger.current
-        resil = ResilienceStats()
-        comm_seconds = 0.0
-        sync_comm_seconds = 0.0
-        root_costs: List[Tuple[int, float]] = []
-        request_seq = 0
-        for i in program.req_stripes.tolist():
-            stripe = matrix.stripes[i]
-            a_comm, s_comm, roots, request_seq = (
-                _resilient_fetch_accounting(
-                    ctx, faults, rank, stripe.owner, stripe.schedule,
-                    row_bytes, headroom, account, resil, request_seq,
-                )
+        comm_seconds, sync_comm_seconds, root_costs, resil = (
+            _resilient_fetch_accounting(
+                ctx, faults, rank, program, row_bytes, account
             )
-            comm_seconds += a_comm
-            sync_comm_seconds += s_comm
-            root_costs.extend(roots)
-            account.free(rank, "async_rows")
+        )
         _, comp_seconds = async_lane_seconds(
             net, compute, ctx.threads.async_comp, k, row_bytes,
             program.req_rows, program.req_chunks, nnz_live,
@@ -539,7 +496,7 @@ def _async_lane(
         )
         return _AsyncRankRecord(
             account, cache, scatter, comm_seconds, comp_seconds,
-            sync_comm_seconds, tuple(root_costs), resil,
+            sync_comm_seconds, root_costs, resil,
         )
 
     records = pool.map(rank_body, ctx.n_nodes)

@@ -32,10 +32,11 @@ the simulator's charging formulas — they describe what the plan
 *moves*, which is transport-invariant.  Fault injection consumes the
 same compiled :class:`~repro.cluster.faults.FaultPlan`: attempt
 outcomes are pure functions of structural coordinates, so the driver
-replays the simulator's retry/fallback loops for the counters (the
-``retries + lane_fallbacks == rget_failures`` invariant holds by
-construction) while workers serve the injected delays as real
-``time.sleep`` calls (rget backoff, compute-skew stragglers).
+resolves each rank's requests through the simulator's own policy
+function for the counters (the ``retries + lane_fallbacks ==
+rget_failures`` invariant holds by construction) while workers serve
+the injected delays as real ``time.sleep`` calls (rget backoff,
+compute-skew stragglers).
 
 What shm does **not** model: simulated seconds (no clocks advance; the
 result's ``seconds`` is the wall-clock makespan), the memory ledger
@@ -60,7 +61,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cluster.buffers import FetchArena
-from ..cluster.faults import ResilienceStats, compile_faults
+from ..cluster.faults import (
+    ResilienceStats,
+    compile_faults,
+    resolve_onesided,
+)
 from ..cluster.simmpi import TrafficStats
 from ..dist.oned import RowPartition
 from ..errors import ExecutorCrashError, ShapeError
@@ -147,47 +152,29 @@ class SegmentPool:
 # ----------------------------------------------------------------------
 # Driver-side fault replay (counters + injected-delay schedule)
 # ----------------------------------------------------------------------
-def _fault_onesided(
-    faults, origin_l: int, target_l: int, origin_g: int, nbytes: int,
-    request_seq: int, traffic: TrafficStats, resil: ResilienceStats,
-) -> Tuple[float, int]:
-    """Replay one one-sided request's attempt loop (driver side).
+def _count_onesided(
+    faults, net, origin_l: int, targets_l: np.ndarray, origin_g: int,
+    nbytes: np.ndarray, traffic: TrafficStats, resil: ResilienceStats,
+) -> float:
+    """Count one rank's one-sided requests (driver side).
 
     Same policy and counter transitions as the simulator's resilient
-    lanes (one piece — shm never re-chunks): a failed attempt counts a
-    failure; a re-issue counts a retry and accrues real backoff sleep
-    for the worker; an exhausted budget counts a lane fallback and the
-    payload arrives as collective traffic instead.  Fault decisions key
-    on layer-local structural coordinates (matching
+    lanes (:func:`~repro.cluster.faults.resolve_onesided`; one piece per
+    request — shm never re-chunks): a request whose attempt budget ran
+    out arrives as collective traffic instead.  Fault decisions key on
+    layer-local structural coordinates (matching
     :class:`~repro.algorithms.gridrun.SubFaultPlan` remapping); traffic
     lands on the global rank.
 
-    Returns ``(backoff_sleep_seconds, next_request_seq)``.
+    Returns the real backoff sleep the rank's worker owes.
     """
-    cfg = faults.config
-    sleep_s = 0.0
-    attempt = 0
-    while True:
-        if not faults.rget_attempt_fails(
-            origin_l, target_l, request_seq, attempt
-        ):
-            traffic.onesided_bytes += nbytes
-            traffic.onesided_requests += 1
-            traffic._recv(origin_g, nbytes)
-            break
-        resil.rget_failures += 1
-        attempt += 1
-        if attempt >= cfg.rget_max_attempts:
-            resil.lane_fallbacks += 1
-            traffic.collective_bytes += nbytes
-            traffic.collective_ops += 1
-            traffic._recv(origin_g, nbytes)
-            break
-        backoff = cfg.rget_backoff_base * (2 ** (attempt - 1))
-        resil.retries += 1
-        resil.backoff_seconds += backoff
-        sleep_s += backoff
-    return sleep_s, request_seq + 1
+    if faults is None:
+        traffic.count_onesided(origin_g, nbytes)
+        return 0.0
+    outcome = resolve_onesided(faults, net, origin_l, targets_l, nbytes, 1)
+    traffic.count_onesided(origin_g, nbytes, outcome.fallback)
+    resil.merge_from(outcome.stats)
+    return outcome.stats.backoff_seconds
 
 
 def _skew_of(faults_view, rank_l: int) -> float:
@@ -290,23 +277,10 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
         lo, hi = layer.row_part.bounds(rank)
         matrix = rank_plan.async_matrix
         program = matrix.ensure_program(layer.col_part, gap)
-        req_bytes = program.req_rows * (k * 8)
-        backoff_s = 0.0
-        if faults_view is None:
-            moved = int(req_bytes.sum())
-            traffic.onesided_bytes += moved
-            traffic.onesided_requests += len(req_bytes)
-            traffic._recv(layer.ranks[rank], moved)
-        else:
-            request_seq = 0
-            for owner, nbytes in zip(
-                program.req_owners.tolist(), req_bytes.tolist()
-            ):
-                slept, request_seq = _fault_onesided(
-                    faults_view, rank, owner, layer.ranks[rank],
-                    nbytes, request_seq, traffic, resil,
-                )
-                backoff_s += slept
+        backoff_s = _count_onesided(
+            faults_view, sub_machine.network, rank, program.req_owners,
+            layer.ranks[rank], program.req_rows * (k * 8), traffic, resil,
+        )
         # Pre-touch every plan-resident cache so forked children
         # inherit warm, shared (copy-on-write) program state.
         tiles = program.tiles(k * 8)
@@ -353,30 +327,21 @@ def _build_allgather(layer: _Layer, A_sub, k, traffic,
     _build_block_compute(layer, A_sub, k, faults_view)
 
 
-def _build_async_coarse(layer: _Layer, A_sub, k, traffic,
+def _build_async_coarse(layer: _Layer, A_sub, k, net, traffic,
                         faults_view, resil, slabs) -> None:
     p_r = layer.row_part.n_parts
     backoffs = [0.0] * p_r
+    sizes = np.array([layer.col_part.size(r) for r in range(p_r)])
     for rank in range(p_r):
         slab = slabs[rank]
         if slab.nnz == 0:
             continue
-        request_seq = 0
         needed = np.unique(layer.col_part.owners_of(slab.cols))
-        for block_id in needed.tolist():
-            if block_id == rank:
-                continue
-            nbytes = int(layer.col_part.size(block_id) * k * 8)
-            if faults_view is None:
-                traffic.onesided_bytes += nbytes
-                traffic.onesided_requests += 1
-                traffic._recv(layer.ranks[rank], nbytes)
-            else:
-                slept, request_seq = _fault_onesided(
-                    faults_view, rank, block_id, layer.ranks[rank],
-                    nbytes, request_seq, traffic, resil,
-                )
-                backoffs[rank] += slept
+        owners = needed[needed != rank]
+        backoffs[rank] = _count_onesided(
+            faults_view, net, rank, owners, layer.ranks[rank],
+            sizes[owners] * (k * 8), traffic, resil,
+        )
     _build_block_compute(layer, A_sub, k, faults_view, backoffs=backoffs)
 
 
@@ -667,7 +632,8 @@ class ShmTransport(Transport):
             elif isinstance(layer_algo, AsyncCoarse):
                 slabs = [A_dist.slab(r) for r in range(p_r)]
                 _build_async_coarse(
-                    layer, A_dist, k, traffic, faults_view, resil, slabs,
+                    layer, A_dist, k, machine.network, traffic,
+                    faults_view, resil, slabs,
                 )
             elif isinstance(layer_algo, DenseShifting):
                 slabs = [A_dist.slab(r) for r in range(p_r)]

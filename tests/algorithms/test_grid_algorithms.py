@@ -251,27 +251,6 @@ class TestGridFaults:
         )
         assert noisy.seconds >= clean.seconds
 
-    @pytest.mark.parametrize(
-        "grid",
-        [Grid15D(p_r=4, c=2), Grid2D(p_r=4, p_c=2)],
-        ids=lambda g: g.cache_token(),
-    )
-    def test_resilience_invariant_on_grids(self, grid, matrix, dense):
-        """Every rget failure is absorbed by a retry or a fallback."""
-        faults = FaultConfig.from_intensity(0.3, seed=9)
-        machine = MachineConfig(
-            n_nodes=N_NODES, memory_capacity=1 << 30, faults=faults
-        )
-        result = AsyncFine(stripe_width=8).run(
-            matrix, dense, machine, grid=grid
-        )
-        assert not result.failed
-        resil = result.extras["resilience"]
-        assert (
-            resil["retries"] + resil["lane_fallbacks"]
-            == resil["rget_failures"]
-        )
-
     def test_fault_extras_attached(self, matrix, dense):
         faults = FaultConfig.from_intensity(0.1, seed=1)
         machine = MachineConfig(

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,47 @@ from repro.cluster.faults import (
 from repro.errors import ConfigurationError
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _scalar_mix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def scalar_u01(seed: int, *keys: int) -> float:
+    """The hash in plain Python integers — the reference the array
+    implementation (and everything compiled from it) is pinned to."""
+    h = _scalar_mix64(seed & _MASK64)
+    for key in keys:
+        h = _scalar_mix64(
+            h ^ ((key & _MASK64) * 0x9E3779B97F4A7C15 & _MASK64)
+        )
+    return (h >> 11) * (1.0 / (1 << 53))
+
+
 class TestHash:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**70),
+        st.lists(st.integers(-(2**63), 2**64), min_size=0, max_size=6),
+    )
+    def test_u01_equals_integer_reference(self, seed, keys):
+        got = _u01(seed, *keys)
+        assert type(got) is float
+        assert got == scalar_u01(seed, *keys)
+
+    def test_u01_array_keys_broadcast_elementwise(self):
+        a = np.arange(-3, 40)[:, None]
+        b = np.array([0, 5, 2**40])[None, :]
+        got = _u01(11, 0x2, a, 7, b)
+        assert got.shape == (43, 3)
+        for i, x in enumerate(a[:, 0].tolist()):
+            for j, y in enumerate(b[0].tolist()):
+                assert got[i, j] == scalar_u01(11, 0x2, x, 7, y)
+
     def test_u01_in_unit_interval(self):
         for seed in (0, 1, 7, 2**31):
             for keys in [(0,), (1, 2), (3, 4, 5, 6)]:
@@ -204,6 +245,64 @@ class TestFaultPlan:
             plan.rget_attempt_fails(0, 1, i, 0) for i in range(n)
         )
         assert fails / n == pytest.approx(0.2, abs=0.02)
+
+    @pytest.mark.parametrize("n_nodes", [1, 4, 32])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_plan_equals_scalar_hash_draws(self, n_nodes, seed):
+        """Every static decision and every rget draw is the value the
+        integer hash gives for its structural coordinates."""
+        config = FaultConfig(
+            seed=seed, rget_failure_rate=0.4, rget_max_attempts=3,
+            link_degradation_rate=0.3, link_degradation_factor=2.5,
+            straggler_rate=0.4, straggler_skew=1.5,
+            memory_pressure_rate=0.4, memory_pressure_fraction=0.2,
+        )
+        plan = FaultPlan(config, n_nodes)
+        ranks = range(n_nodes)
+        links = {
+            (s, d) for s in ranks for d in ranks
+            if s != d and scalar_u01(seed, 0x2, s, d) < 0.3
+        }
+        assert plan.degraded_links() == tuple(sorted(links))
+        assert plan.describe()["degraded_links"] == len(links)
+        for d in ranks:
+            for s in ranks:
+                scale = plan.link_scale(s, d)
+                assert type(scale) is float
+                assert scale == (2.5 if (s, d) in links else 1.0)
+            assert plan.worst_incoming_scale(d) == (
+                2.5 if any(dst == d for _, dst in links) else 1.0
+            )
+        assert plan.straggler_ranks() == tuple(
+            r for r in ranks if scalar_u01(seed, 0x3, r) < 0.4
+        )
+        assert plan.squeezed_ranks() == tuple(
+            r for r in ranks if scalar_u01(seed, 0x4, r) < 0.4
+        )
+        if n_nodes > 1:
+            targets = [(3 * i + 1) % n_nodes for i in range(17)]
+            draws = [
+                [
+                    scalar_u01(seed, 0x1, 0, t, 5 + i, attempt) < 0.4
+                    for attempt in range(3)
+                ]
+                for i, t in enumerate(targets)
+            ]
+            assert plan.rget_failed_attempts(0, targets, 5).tolist() == [
+                (row + [False]).index(False) for row in draws
+            ]
+            for i, t in enumerate(targets):
+                for attempt in range(3):
+                    assert plan.rget_attempt_fails(
+                        0, t, 5 + i, attempt
+                    ) == draws[i][attempt]
+
+    def test_link_scale_takes_rank_arrays(self):
+        plan = FaultPlan(FaultConfig(seed=3, link_degradation_rate=0.5), 8)
+        srcs = np.array([1, 2, 5, 7])
+        assert plan.link_scale(srcs, 0).tolist() == [
+            plan.link_scale(int(s), 0) for s in srcs
+        ]
 
     def test_describe_counts(self):
         plan = FaultPlan(FaultConfig.from_intensity(1.0, seed=2), 4)

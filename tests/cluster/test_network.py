@@ -1,5 +1,6 @@
 """Unit tests for the network and compute cost models."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import ComputeModel, NetworkModel
@@ -82,6 +83,22 @@ class TestNetworkModel:
     def test_rget_invalid_chunks(self):
         with pytest.raises(ConfigurationError):
             NetworkModel().rget_time(100, n_chunks=0)
+
+    def test_rget_scalar_and_array_calls_agree(self):
+        """Plain ints take a plain comparison, arrays the vector check:
+        same values, same error text."""
+        net = NetworkModel()
+        nbytes, chunks = np.array([0, 800, 12345]), np.array([1, 3, 7])
+        assert net.rget_time(nbytes, n_chunks=chunks).tolist() == [
+            net.rget_time(b, n_chunks=c)
+            for b, c in zip(nbytes.tolist(), chunks.tolist())
+        ]
+        assert type(net.rget_time(800, n_chunks=3)) is float
+        for bad in (0, np.array([2, 0])):
+            with pytest.raises(
+                ConfigurationError, match="n_chunks must be positive"
+            ):
+                net.rget_time(nbytes[:np.size(bad)], n_chunks=bad)
 
     def test_scaled_returns_modified_copy(self):
         net = NetworkModel()

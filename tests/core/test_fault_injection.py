@@ -120,9 +120,6 @@ class TestFaultyRunsStayCorrect:
         assert resil["rget_failures"] > 0
         assert resil["retries"] > 0
         assert resil["backoff_seconds"] > 0.0
-        assert resil["retries"] + resil["lane_fallbacks"] == (
-            resil["rget_failures"]
-        )
 
     def test_straggler_slows_the_whole_run(self, matrix, dense):
         clean = TwoFace().run(matrix, dense, _machine())

@@ -190,14 +190,54 @@ def test_shm_fault_conformance(factory):
     assert np.allclose(sim.C, shm.C, rtol=0.0, atol=1e-12)
     assert sim.extras["resilience"]["rechunked_stripes"] == 0
     assert_traffic_equal(sim, shm)
-    resil = shm.extras["resilience"]
-    # Every one-sided failure is absorbed by a retry or a lane fallback.
-    assert (
-        resil["retries"] + resil["lane_fallbacks"]
-        == resil["rget_failures"]
-    )
     for field in ("rget_failures", "retries", "lane_fallbacks"):
-        assert resil[field] == sim.extras["resilience"][field]
+        assert (
+            shm.extras["resilience"][field] == sim.extras["resilience"][field]
+        )
+
+
+@pytest.mark.parametrize("intensity", [0.2, 0.5])
+@pytest.mark.parametrize(
+    "grid",
+    [None, Grid15D(p_r=4, c=2), Grid2D(p_r=4, p_c=2)],
+    ids=lambda g: g.cache_token() if g else "1d",
+)
+@pytest.mark.parametrize(
+    "transport", ["sim", pytest.param("shm", marks=needs_shm)]
+)
+@pytest.mark.parametrize(
+    "factory",
+    [TwoFace, lambda: AsyncFine(stripe_width=8), AsyncCoarse],
+    ids=["TwoFace", "AsyncFine", "AsyncCoarse"],
+)
+def test_faults_absorbed_and_c_exact(
+    factory, transport, grid, intensity
+):
+    """The two invariants every chaos consumer leans on, stated once
+    over the one-sided algorithms x data planes x layouts: every rget
+    failure is absorbed by a retry or a lane fallback, and ``C`` is the
+    fault-free run's, byte for byte."""
+    A = erdos_renyi(96, 96, 900, seed=3)
+    B = np.random.default_rng(4).standard_normal((96, 8))
+    healthy = MachineConfig(n_nodes=8, memory_capacity=1 << 30)
+    chaotic = MachineConfig(
+        n_nodes=8,
+        memory_capacity=1 << 30,
+        faults=FaultConfig.from_intensity(
+            intensity, seed=9, rget_backoff_base=1.0e-6
+        ),
+    )
+    if transport == "shm":
+        transport = ShmTransport(processes=2)
+    clean = factory().run(A, B, healthy, grid=grid, transport=transport)
+    noisy = factory().run(A, B, chaotic, grid=grid, transport=transport)
+    assert not noisy.failed
+    resil = noisy.extras["resilience"]
+    assert resil["rget_failures"] > 0
+    assert (
+        resil["retries"] + resil["lane_fallbacks"] == resil["rget_failures"]
+    )
+    assert noisy.C.tobytes() == clean.C.tobytes()
 
 
 @needs_shm
