@@ -98,10 +98,8 @@ def classify_rank_stripes(
         async_mask[order[:n_flip]] = True
 
         if sync_memory_budget is not None:
-            widths = np.array(
-                [geometry.width_of(int(g)) for g in stats.gids],
-                dtype=np.int64,
-            )
+            lo, hi = geometry.col_bounds_of(stats.gids)
+            widths = hi - lo
             sync_bytes = int(
                 (widths * remote * ~async_mask).sum() * k * dense_itemsize
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import is_
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..dist.oned import RowPartition
 from ..errors import FormatError, PartitionError
 from ..sparse.coo import COOMatrix
 from ..sparse.csr import CSRMatrix
+from .stripes import RankStripeStats
 from ..sparse.ops import (
     SCATTER_STATS,
     ScatterStats,
@@ -483,7 +484,7 @@ class RankProgram:
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls, stripes: Sequence["AsyncStripe"], col_partition: RowPartition,
+        cls, matrix: "AsyncStripeMatrix", col_partition: RowPartition,
         max_gap: int,
     ) -> "RankProgram":
         """Schedule every stripe of a rank in one vectorised pass.
@@ -492,28 +493,28 @@ class RankProgram:
         chunk breaks), one ``searchsorted`` mapping nonzeros onto
         fetched rows, one stable sort on ``(stripe, output row)`` —
         the arrays each stripe's ``build_schedule`` /
-        ``build_reduce_schedule`` would produce, concatenated.
+        ``build_reduce_schedule`` would produce, concatenated, from
+        the rank-level arrays of ``matrix``.
         """
+        stripes, flat = matrix.stripes, matrix.flat()
         n = len(stripes)
         stripe_ids = np.arange(n)
         owners = np.array([s.owner for s in stripes], dtype=np.int64)
-        block_starts = np.array(
-            [col_partition.bounds(o)[0] for o in owners.tolist()],
-            dtype=np.int64,
-        )
-        nnz_ptr = _ptr([s.nnz for s in stripes])
+        outside = (owners < 0) | (owners >= col_partition.n_parts)
+        if outside.any():
+            raise PartitionError(
+                f"part {int(owners[outside][0])} out of range "
+                f"0..{col_partition.n_parts - 1}"
+            )
+        block_starts = col_partition.edges()[owners]
+        nnz_ptr = flat.nnz_ptr
         nnz_stripe = np.repeat(stripe_ids, np.diff(nnz_ptr))
 
         # Transfer half.  Keying each id by its stripe makes the keys
         # globally ascending with a gap wider than ``max_gap`` at every
         # stripe boundary, so one coalesce never merges across stripes.
-        id_stripe = np.repeat(
-            stripe_ids,
-            np.array([len(s.row_ids) for s in stripes], dtype=np.int64),
-        )
-        local_ids = (
-            _concat([s.row_ids for s in stripes]) - block_starts[id_stripe]
-        )
+        id_stripe = np.repeat(stripe_ids, np.diff(flat.id_ptr))
+        local_ids = flat.row_ids - block_starts[id_stripe]
         if len(local_ids) and local_ids.min() < 0:
             culprit = stripes[int(id_stripe[np.argmin(local_ids)])]
             raise FormatError(
@@ -531,7 +532,7 @@ class RankProgram:
         )
         row_ptr = _ptr(chunk_sizes)[chunk_ptr]
         rows_of = np.diff(row_ptr)
-        cols = _concat([s.nonzeros.cols for s in stripes])
+        cols = flat.cols
         width = max(
             int(fetched_ids.max(initial=0)), int(cols.max(initial=0))
         ) + 1
@@ -548,9 +549,7 @@ class RankProgram:
         # Reduce half: a stable sort on (stripe, row) is every stripe's
         # own stable sort on row, side by side.
         n_rows = stripes[0].nonzeros.shape[0] if n else 0
-        keys = _concat([s.nonzeros.rows for s in stripes]) + (
-            nnz_stripe * n_rows
-        )
+        keys = flat.rows + nnz_stripe * n_rows
         perm = np.argsort(keys, kind="stable")
         sorted_keys = keys[perm]
         seg_first = np.flatnonzero(
@@ -598,7 +597,8 @@ class RankProgram:
         return program
 
     def attach(self, stripes: Sequence["AsyncStripe"]) -> None:
-        """Hand every stripe its schedules as views into the program."""
+        """Hand every stripe its schedules as views into the program
+        (slices only: no array is read)."""
         bounds = zip(
             stripes,
             *(
@@ -611,15 +611,12 @@ class RankProgram:
         )
         for stripe, (n0, n1), (r0, r1), (c0, c1), (g0, g1) in bounds:
             stripe.schedule = TransferSchedule(
-                chunk_offsets=self.chunk_offsets[c0:c1],
-                chunk_sizes=self.chunk_sizes[c0:c1],
-                fetched_ids=self.fetched_ids[r0:r1],
-                packed=self.packed[n0:n1],
+                self.chunk_offsets[c0:c1], self.chunk_sizes[c0:c1],
+                self.fetched_ids[r0:r1], self.packed[n0:n1],
             )
             stripe.reduce_schedule = ReduceSchedule(
-                order=self.order[n0:n1],
-                seg_starts=self.seg_starts[g0:g1],
-                out_rows=self.out_rows[g0:g1],
+                self.order[n0:n1], self.seg_starts[g0:g1],
+                self.out_rows[g0:g1],
             )
         self.bind(stripes)
 
@@ -669,11 +666,11 @@ class RankProgram:
                  or all(map(is_, self._parts(now_t, now_r), parts)))
         )
 
-    def validate(self, rank: int, stripes: Sequence["AsyncStripe"]) -> None:
-        """Check, once, that the program can run on ``rank``.
+    def validate(self, matrix: "AsyncStripeMatrix") -> None:
+        """Check, once, that the program can run ``matrix`` on its rank.
 
         Raises:
-            PartitionError: a stripe owned by ``rank`` itself, chunks
+            PartitionError: a stripe owned by the rank itself, chunks
                 that disagree with the fetched-row list, or fetched
                 rows that do not cover a stripe's column ids (the
                 packed map is clipped, so non-coverage shows up as a
@@ -682,6 +679,7 @@ class RankProgram:
         """
         if self._valid:
             return
+        rank, stripes = matrix.rank, matrix.stripes
         local = np.flatnonzero(self.owners == rank)
         if len(local):
             raise PartitionError(
@@ -696,10 +694,7 @@ class RankProgram:
         covered = np.zeros(len(inside), dtype=bool)
         if len(self.fetched_ids):
             at = np.where(inside, self.row_ptr[stripe_of] + self.packed, 0)
-            covered = inside & (
-                self.fetched_ids[at]
-                == _concat([s.nonzeros.cols for s in stripes])
-            )
+            covered = inside & (self.fetched_ids[at] == matrix.flat().cols)
         bad = stripe_of[~covered]
         if not len(bad):
             bad = np.flatnonzero(
@@ -816,12 +811,25 @@ class RankProgram:
         return tiles
 
 
+class RankArrays(NamedTuple):
+    """A rank's async stripes, concatenated (Fig. 6c): the nonzeros and
+    the sorted unique column ids, each with its stripe pointers."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    row_ids: np.ndarray
+    nnz_ptr: np.ndarray
+    id_ptr: np.ndarray
+
+
 @dataclass
 class AsyncStripeMatrix:
     """All asynchronous stripes of one rank (Fig. 6c).
 
     Stripes are kept in ascending gid (row-major stripe order, matching
-    the paper's layout choice for easy runtime distribution).
+    the paper's layout choice for easy runtime distribution); those
+    of a planned or loaded matrix are views of its rank-level arrays.
     """
 
     rank: int
@@ -831,11 +839,12 @@ class AsyncStripeMatrix:
     _program: Optional[RankProgram] = field(
         default=None, repr=False, compare=False
     )
-    #: :meth:`values` memo: ``(program, per-stripe value arrays, their
-    #: concatenation, that in reduction order)``.  Keyed on the *identity* of
-    #: every stripe's value array: value-remapped plan clones (the
-    #: attention layer) shallow-copy this matrix — sharing the program,
-    #: which is pure geometry — but carry fresh values.
+    #: :meth:`flat` memo ``(stripes' nonzeros, stripes' row_ids,
+    #: arrays)``, keyed on the *identity* of those per-stripe objects:
+    #: value-remapped plan clones (the attention layer) shallow-copy
+    #: this matrix but carry fresh nonzeros.
+    _flat: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: :meth:`values` memo ``(program, flat values, in reduction order)``.
     _values: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -844,6 +853,80 @@ class AsyncStripeMatrix:
             raise FormatError("async stripes must be in ascending gid order")
         if len(set(gids)) != len(gids):
             raise FormatError("duplicate async stripe gid")
+
+    @classmethod
+    def from_arrays(
+        cls, rank: int, gids: np.ndarray, owners: np.ndarray,
+        nnz_ptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+        vals: np.ndarray, shape: Tuple[int, int],
+    ) -> "AsyncStripeMatrix":
+        """The matrix over rank-level arrays, its stripes cut as views.
+
+        The one constructor behind the planner and ``load_plan``.  The
+        array work is done once for the rank (``row_ids`` are the first
+        occurrences of a column within its stripe); the loop over
+        stripes only slices.
+
+        Args:
+            gids / owners: ascending stripe ids and their owner ranks.
+            nnz_ptr: stripe ``i`` holds nonzeros ``nnz_ptr[i]:nnz_ptr[i+1]``
+                of ``rows`` / ``cols`` / ``vals``, which must be in
+                ascending (column, row) order within each stripe.
+            shape: shape of the rank's slab.
+        """
+        stripe_of = np.repeat(np.arange(len(gids)), np.diff(nnz_ptr))
+        inside = stripe_of[1:] == stripe_of[:-1]
+        step = np.diff(cols)
+        descending = inside & (step < 0)
+        if descending.any():
+            culprit = stripe_of[1:][descending][0]
+            raise FormatError(
+                f"stripe {int(gids[culprit])} is not in column-major order"
+            )
+        first = np.ones(len(cols), dtype=bool)
+        first[1:] = ~inside | (step > 0)
+        row_ids, id_ptr = cols[first], _ptr(first)[nnz_ptr]
+        matrix = cls(rank, [
+            AsyncStripe(
+                gid, owner,
+                COOMatrix.view(rows[n0:n1], cols[n0:n1], vals[n0:n1], shape),
+                row_ids[i0:i1],
+            )
+            for gid, owner, n0, n1, i0, i1 in zip(
+                gids.tolist(), owners.tolist(),
+                nnz_ptr[:-1].tolist(), nnz_ptr[1:].tolist(),
+                id_ptr[:-1].tolist(), id_ptr[1:].tolist(),
+            )
+        ])
+        matrix._flat = (
+            [s.nonzeros for s in matrix.stripes],
+            [s.row_ids for s in matrix.stripes],
+            RankArrays(rows, cols, vals, row_ids, nnz_ptr, id_ptr),
+        )
+        return matrix
+
+    def flat(self) -> RankArrays:
+        """The stripes' arrays in stripe order: the ones
+        :meth:`from_arrays` was given, else (hand-assembled or edited
+        stripes) concatenated once."""
+        nonzeros = [s.nonzeros for s in self.stripes]
+        row_ids = [s.row_ids for s in self.stripes]
+        memo = self._flat
+        if (
+            memo is None
+            or len(memo[0]) != len(nonzeros)
+            or not all(map(is_, nonzeros, memo[0]))
+            or not all(map(is_, row_ids, memo[1]))
+        ):
+            memo = self._flat = (nonzeros, row_ids, RankArrays(
+                _concat([nz.rows for nz in nonzeros]),
+                _concat([nz.cols for nz in nonzeros]),
+                _concat([nz.vals for nz in nonzeros], np.float64),
+                _concat(row_ids),
+                _ptr([nz.nnz for nz in nonzeros]),
+                _ptr([len(ids) for ids in row_ids]),
+            ))
+        return memo[2]
 
     @property
     def n_stripes(self) -> int:
@@ -863,7 +946,7 @@ class AsyncStripeMatrix:
 
         This is the *Asynchronous Stripe Pointers* array of Fig. 6c.
         """
-        return _ptr([s.nnz for s in self.stripes])
+        return self.flat().nnz_ptr
 
     def nbytes(self) -> int:
         return sum(s.nonzeros.nbytes() + s.row_ids.nbytes for s in self.stripes)
@@ -898,7 +981,7 @@ class AsyncStripeMatrix:
             for s in self.stripes
         ):
             self.adopt_program(
-                RankProgram.build(self.stripes, col_partition, max_gap)
+                RankProgram.build(self, col_partition, max_gap)
             )
             return
         for stripe in self.stripes:
@@ -946,7 +1029,7 @@ class AsyncStripeMatrix:
             program = self.program()
         sink.recomputes += missing
         sink.hits += len(self.stripes) - missing
-        program.validate(self.rank, self.stripes)
+        program.validate(self)
         return program
 
     def values(
@@ -965,19 +1048,13 @@ class AsyncStripeMatrix:
                 order (what the segmented kernel consumes) instead of
                 the stripes' storage order.
         """
-        vals = [s.nonzeros.vals for s in self.stripes]
+        flat = self.flat().vals
         memo = self._values
-        if (
-            memo is None
-            or memo[0] is not program
-            or len(memo[1]) != len(vals)
-            or not all(map(is_, vals, memo[1]))
-        ):
-            flat = _concat(vals, np.float64)
-            memo = self._values = (program, vals, flat, flat[program.perm])
+        if memo is None or memo[0] is not program or memo[1] is not flat:
+            memo = self._values = (program, flat, flat[program.perm])
         if keep is None:
-            return memo[3] if reduction_order else memo[2]
-        masked = memo[2] * keep
+            return memo[2] if reduction_order else memo[1]
+        masked = flat * keep
         return masked[program.perm] if reduction_order else masked
 
 
@@ -992,46 +1069,35 @@ def build_sync_local_matrix(
     Args:
         rank: owning node.
         slab: the rank's full slab (local rows, global cols).
-        selection: indices into the slab's nonzero arrays.
+        selection: indices into the slab's nonzero arrays, or a boolean
+            mask over them (the planner's: it keeps the slab's order,
+            so a row-major slab reaches CSR without a sort).
         panel_height: row-panel height.
     """
-    picked = COOMatrix(
-        slab.rows[selection],
-        slab.cols[selection],
-        slab.vals[selection],
-        slab.shape,
-        _validated=True,
-    )
     return SyncLocalMatrix(
-        rank=rank, csr=CSRMatrix.from_coo(picked), panel_height=panel_height
+        rank, CSRMatrix.from_coo(slab.select(selection)), panel_height
     )
 
 
 def build_async_stripe_matrix(
     rank: int,
     slab: COOMatrix,
-    stripe_selections: Dict[int, Tuple[int, np.ndarray]],
+    stats: RankStripeStats,
+    async_mask: np.ndarray,
 ) -> AsyncStripeMatrix:
-    """Assemble the async matrix from per-stripe nonzero selections.
+    """Assemble the async matrix: ``stats.nnz_order`` — stripe by
+    stripe, column-major within each — restricted to the stripes
+    flagged in ``async_mask``.  Three gathers, no sort.
 
     Args:
         rank: owning node.
         slab: the rank's full slab.
-        stripe_selections: gid -> (owner, indices into the slab arrays).
+        stats: ``compute_rank_stripe_stats`` of ``slab``.
+        async_mask: aligned with ``stats.gids``; True = asynchronous.
     """
-    stripes: List[AsyncStripe] = []
-    for gid in sorted(stripe_selections):
-        owner, sel = stripe_selections[gid]
-        coo = COOMatrix(
-            slab.rows[sel], slab.cols[sel], slab.vals[sel], slab.shape,
-            _validated=True,
-        ).sorted_col_major()
-        stripes.append(
-            AsyncStripe(
-                gid=int(gid),
-                owner=int(owner),
-                nonzeros=coo,
-                row_ids=np.unique(coo.cols),
-            )
-        )
-    return AsyncStripeMatrix(rank=rank, stripes=stripes)
+    picked = stats.nnz_order[np.repeat(async_mask, stats.nnz)]
+    return AsyncStripeMatrix.from_arrays(
+        rank, stats.gids[async_mask], stats.owners[async_mask],
+        _ptr(stats.nnz[async_mask]),
+        slab.rows[picked], slab.cols[picked], slab.vals[picked], slab.shape,
+    )

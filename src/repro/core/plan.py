@@ -134,13 +134,10 @@ class TwoFacePlan:
 
     def sync_recv_rows(self, rank: int) -> int:
         """Dense rows rank receives via multicast (its remote sync gids)."""
-        plan = self.rank_plan(rank)
-        return int(
-            sum(
-                self.geometry.width_of(int(g))
-                for g in plan.sync_stripe_gids
-            )
+        lo, hi = self.geometry.col_bounds_of(
+            self.rank_plan(rank).sync_stripe_gids
         )
+        return int((hi - lo).sum())
 
     def plan_nbytes(self) -> int:
         """Memory footprint of the preprocessed representation.

@@ -217,14 +217,16 @@ def preprocess(
             )
             classification = _masked_classification(stats, classification, mask)
 
-        # Selection arrays into the slab's nonzero storage.
-        sync_sel, async_sels, sync_gids = _split_selections(
-            stats, classification
+        async_mask = classification.async_mask
+        async_matrix = build_async_stripe_matrix(
+            rank, slab, stats, async_mask
         )
+        # Everything else is sync/local-input, taken in storage order.
+        keep = np.empty(slab.nnz, dtype=bool)
+        keep[stats.nnz_order] = np.repeat(~async_mask, stats.nnz)
         sync_local = build_sync_local_matrix(
-            rank, slab, sync_sel, panel_height
+            rank, slab, keep, panel_height
         )
-        async_matrix = build_async_stripe_matrix(rank, slab, async_sels)
         # Finalise the one-sided transfer schedules now: they depend only
         # on plan-time quantities (row ids, owner block offsets, K), so
         # every later execution reuses them instead of rebuilding.
@@ -234,7 +236,7 @@ def preprocess(
             sync_local=sync_local,
             async_matrix=async_matrix,
             classification=classification,
-            sync_stripe_gids=sync_gids,
+            sync_stripe_gids=stats.gids[classification.sync_mask],
         )
 
     rank_plans = get_plan_pool(plan_workers).map(plan_rank, p)
@@ -244,8 +246,8 @@ def preprocess(
     # result is identical to a serial build at any pool width.
     destinations: Dict[int, list] = {}
     for rank_plan in rank_plans:
-        for gid in rank_plan.sync_stripe_gids:
-            destinations.setdefault(int(gid), []).append(rank_plan.rank)
+        for gid in rank_plan.sync_stripe_gids.tolist():
+            destinations.setdefault(gid, []).append(rank_plan.rank)
 
     plan = TwoFacePlan(
         geometry=geometry,
@@ -337,39 +339,3 @@ def _masked_classification(
         nnz_async=nnz_async,
         memory_flips=0,
     )
-
-
-def _split_selections(stats, classification: RankClassification):
-    """Derive nonzero selections for the two output matrices.
-
-    Returns:
-        ``(sync_local_selection, async_selections, sync_gids)`` where
-        ``async_selections`` maps gid -> (owner, indices) and
-        ``sync_gids`` lists the remote gids needing collective receipt.
-    """
-    async_mask = classification.async_mask
-    starts = stats.nnz_group_starts
-    # One vectorised grouping pass: label every nonzero (in grouped
-    # order) with its stripe index, then take the sync ones in bulk.
-    group_lens = np.diff(starts)
-    stripe_of_nnz = np.repeat(np.arange(stats.n_stripes), group_lens)
-    sync_sel = stats.nnz_order[~async_mask[stripe_of_nnz]]
-
-    # Async selections come from the same grouped order: gather every
-    # async stripe's bounds/gid/owner in one fancy-indexed pass, then
-    # each selection is a view-slice of ``nnz_order`` — no per-gid
-    # scalar indexing into the stats arrays.
-    async_idx = np.flatnonzero(async_mask)
-    order = stats.nnz_order
-    async_sels: Dict[int, tuple] = {
-        gid: (owner, order[lo:hi])
-        for gid, owner, lo, hi in zip(
-            stats.gids[async_idx].tolist(),
-            stats.owners[async_idx].tolist(),
-            starts[async_idx].tolist(),
-            starts[async_idx + 1].tolist(),
-        )
-    }
-
-    sync_gids = stats.gids[~async_mask & classification.remote_mask]
-    return sync_sel, async_sels, sync_gids.astype(np.int64)

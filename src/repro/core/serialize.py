@@ -20,11 +20,9 @@ import numpy as np
 from ..dist.grid import GRID_LAYOUT_CODES, grid_from_code, grid_to_code
 from ..errors import FormatError
 from ..sparse.binary_io import read_arrays, write_arrays
-from ..sparse.coo import COOMatrix
 from ..sparse.csr import CSRMatrix
 from .classifier import RankClassification
 from .formats import (
-    AsyncStripe,
     AsyncStripeMatrix,
     RankProgram,
     SyncLocalMatrix,
@@ -123,18 +121,17 @@ def _pack_rank(arrays: Dict[str, np.ndarray], prefix: str, rp: RankPlan) -> None
                 f"stripe {stripe.gid} has no {missing} schedule; call "
                 "plan.ensure_finalized() before packing"
             )
-    # The schedules travel rank-concatenated, which is the rank
-    # program: order/packed align with async.ptrs (one entry per
-    # nonzero), seg_starts/out_rows with async.seg_ptrs, and so on.
+    # The nonzeros and schedules travel rank-concatenated — the
+    # matrix's own rank-level arrays and its rank program: order/packed
+    # align with async.ptrs (one entry per nonzero), seg_starts/out_rows
+    # with async.seg_ptrs, and so on.
     program = rp.async_matrix.program()
-    cat = lambda parts, dtype: (  # noqa: E731
-        np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-    )
+    flat = rp.async_matrix.flat()
     for name, array in (
         ("ptrs", program.nnz_ptr),
-        ("rows", cat([s.nonzeros.rows for s in stripes], np.int64)),
-        ("cols", cat([s.nonzeros.cols for s in stripes], np.int64)),
-        ("vals", cat([s.nonzeros.vals for s in stripes], np.float64)),
+        ("rows", flat.rows),
+        ("cols", flat.cols),
+        ("vals", flat.vals),
         ("chunk_ptrs", program.chunk_ptr),
         ("chunk_offsets", program.chunk_offsets),
         ("chunk_sizes", program.chunk_sizes),
@@ -203,13 +200,14 @@ def load_plan(path_or_file: Union[_PathLike, IO[bytes]]) -> TwoFacePlan:
         alpha_a=float(c[3]), gamma_a=float(c[4]), kappa_a=float(c[5]),
     )
 
-    destinations: Dict[int, List[int]] = {}
-    dest_gids = arrays["dest_gids"]
-    dest_ptrs = arrays["dest_ptrs"]
-    dest_ranks = arrays["dest_ranks"]
-    for i, gid in enumerate(dest_gids):
-        lo, hi = int(dest_ptrs[i]), int(dest_ptrs[i + 1])
-        destinations[int(gid)] = [int(r) for r in dest_ranks[lo:hi]]
+    dest_ptrs = arrays["dest_ptrs"].tolist()
+    dest_ranks = arrays["dest_ranks"].tolist()
+    destinations: Dict[int, List[int]] = {
+        gid: dest_ranks[lo:hi]
+        for gid, lo, hi in zip(
+            arrays["dest_gids"].tolist(), dest_ptrs[:-1], dest_ptrs[1:]
+        )
+    }
 
     ranks = [
         _unpack_rank(arrays, f"r{rank}", rank, panel_height, version)
@@ -251,27 +249,14 @@ def _unpack_rank(
     )
     sync_local = SyncLocalMatrix(rank, csr, panel_height)
 
-    gids = arrays[f"{prefix}.async.gids"]
     owners = arrays[f"{prefix}.async.owners"]
     ptrs = arrays[f"{prefix}.async.ptrs"]
-    rows = arrays[f"{prefix}.async.rows"]
-    cols = arrays[f"{prefix}.async.cols"]
-    vals = arrays[f"{prefix}.async.vals"]
-    stripes = []
-    for i, gid in enumerate(gids):
-        lo, hi = int(ptrs[i]), int(ptrs[i + 1])
-        nonzeros = COOMatrix(
-            rows[lo:hi], cols[lo:hi], vals[lo:hi], shape, _validated=True
-        )
-        stripes.append(
-            AsyncStripe(
-                gid=int(gid),
-                owner=int(owners[i]),
-                nonzeros=nonzeros,
-                row_ids=np.unique(nonzeros.cols),
-            )
-        )
-    async_matrix = AsyncStripeMatrix(rank, stripes)
+    async_matrix = AsyncStripeMatrix.from_arrays(
+        rank, arrays[f"{prefix}.async.gids"], owners, ptrs,
+        *(arrays[f"{prefix}.async.{name}"] for name in ("rows", "cols", "vals")),
+        shape,
+    )
+    stripes = async_matrix.stripes
     if version >= 3:
         # The container stores the schedules rank-concatenated — which
         # is the rank program; the stripes get views into it.

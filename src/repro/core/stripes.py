@@ -49,24 +49,23 @@ class StripeGeometry:
         self.row_partition = RowPartition(n_rows, n_parts)
         self.col_partition = RowPartition(n_cols, n_parts)
 
-        counts = np.empty(n_parts, dtype=np.int64)
-        starts = np.empty(n_parts, dtype=np.int64)
-        for part in range(n_parts):
-            lo, hi = self.col_partition.bounds(part)
-            starts[part] = lo
-            width = hi - lo
-            counts[part] = -(-width // stripe_width) if width else 0
-        self._part_col_start = starts
-        self._stripes_per_part = counts
-        self._stripe_offset = np.concatenate(
-            [[0], np.cumsum(counts)]
-        ).astype(np.int64)
+        # (owner, first column, end column) of every stripe, by gid:
+        # ceil(width / W) stripes per part, none for an empty part.
+        edges = self.col_partition.edges()
+        counts = -(-np.diff(edges) // self.stripe_width)
+        self._stripe_offset = np.concatenate(([0], np.cumsum(counts)))
+        self._owners = np.repeat(np.arange(n_parts), counts)
+        local = np.arange(len(self._owners)) - self._stripe_offset[self._owners]
+        self._starts = edges[self._owners] + local * self.stripe_width
+        self._stops = np.minimum(
+            self._starts + self.stripe_width, edges[self._owners + 1]
+        )
 
     # ------------------------------------------------------------------
     @property
     def n_stripes(self) -> int:
         """Total stripes across all megatile columns."""
-        return int(self._stripe_offset[-1])
+        return len(self._owners)
 
     def stripes_of_part(self, part: int) -> range:
         """Global stripe ids whose dense stripe lives on ``part``."""
@@ -77,21 +76,38 @@ class StripeGeometry:
             int(self._stripe_offset[part + 1]),
         )
 
+    def _checked(self, gids) -> np.ndarray:
+        gids = np.asarray(gids, dtype=np.int64)
+        bad = (gids < 0) | (gids >= self.n_stripes)
+        if bad.any():
+            self._check_gid(int(gids[bad].flat[0]))
+        return gids
+
+    def _check_gid(self, gid: int) -> None:
+        if not 0 <= gid < self.n_stripes:
+            raise PartitionError(
+                f"stripe {gid} out of range 0..{self.n_stripes - 1}"
+            )
+
+    def owners_of_stripes(self, gids: np.ndarray) -> np.ndarray:
+        """Owner node of the dense stripe of every stripe in ``gids``."""
+        return self._owners[self._checked(gids)]
+
+    def col_bounds_of(self, gids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Half-open global column ranges ``(starts, stops)`` of
+        ``gids`` (narrower than ``stripe_width`` at a part's edge)."""
+        gids = self._checked(gids)
+        return self._starts[gids], self._stops[gids]
+
     def owner_of_stripe(self, gid: int) -> int:
         """Node owning the dense stripe of global stripe ``gid``."""
         self._check_gid(gid)
-        return int(
-            np.searchsorted(self._stripe_offset, gid, side="right") - 1
-        )
+        return int(self._owners[gid])
 
     def col_bounds(self, gid: int) -> Tuple[int, int]:
         """Half-open global column range ``[start, stop)`` of ``gid``."""
         self._check_gid(gid)
-        owner = self.owner_of_stripe(gid)
-        local = gid - int(self._stripe_offset[owner])
-        part_lo, part_hi = self.col_partition.bounds(owner)
-        start = part_lo + local * self.stripe_width
-        return start, min(start + self.stripe_width, part_hi)
+        return int(self._starts[gid]), int(self._stops[gid])
 
     def width_of(self, gid: int) -> int:
         """Column count of stripe ``gid`` (≤ ``stripe_width`` at edges)."""
@@ -101,15 +117,9 @@ class StripeGeometry:
     def stripes_of_cols(self, cols: np.ndarray) -> np.ndarray:
         """Vectorised column -> global stripe id."""
         cols = np.asarray(cols, dtype=np.int64)
-        owners = self.col_partition.owners_of(cols)
-        local = (cols - self._part_col_start[owners]) // self.stripe_width
-        return self._stripe_offset[owners] + local
-
-    def _check_gid(self, gid: int) -> None:
-        if not 0 <= gid < self.n_stripes:
-            raise PartitionError(
-                f"stripe {gid} out of range 0..{self.n_stripes - 1}"
-            )
+        if len(cols) and not 0 <= cols.min() <= cols.max() < self.n_cols:
+            raise PartitionError("column index outside the matrix")
+        return np.searchsorted(self._starts, cols, side="right") - 1
 
 
 @dataclass
@@ -128,8 +138,9 @@ class RankStripeStats:
         rows_needed: unique dense-input rows per stripe (``l_i``).
         is_local: True where the dense stripe is rank-local (no
             communication; the *local-input* category).
-        nnz_order: permutation of the slab's nonzeros grouping them by
-            stripe (stable within stripe).
+        nnz_order: the slab's nonzeros in ascending (stripe, column,
+            row) order — stripe by stripe, column-major within each;
+            equal coordinates keep their storage order.
         nnz_group_starts: start offsets of each stripe's group within
             ``nnz_order`` (length ``len(gids) + 1``).
     """
@@ -151,17 +162,20 @@ class RankStripeStats:
         """Extract stripe ``idx``'s nonzeros from the rank's slab."""
         lo = int(self.nnz_group_starts[idx])
         hi = int(self.nnz_group_starts[idx + 1])
-        sel = self.nnz_order[lo:hi]
-        return COOMatrix(
-            slab.rows[sel], slab.cols[sel], slab.vals[sel], slab.shape,
-            _validated=True,
-        )
+        return slab.select(self.nnz_order[lo:hi])
 
 
 def compute_rank_stripe_stats(
     rank: int, slab: COOMatrix, geometry: StripeGeometry
 ) -> RankStripeStats:
-    """Group one rank's nonzeros by stripe and measure each stripe.
+    """Order one rank's nonzeros by stripe and measure each stripe.
+
+    The one sort of plan construction.  Stripe ids ascend with the
+    column, so the slab's stable (column, row) order *is* its
+    ``np.lexsort((rows, cols, gids))`` order; a stripe is a run of
+    equal gids in it, ``rows_needed`` counts a run's column changes,
+    and the plan's async side is the same order restricted to the
+    async stripes.  The slab itself may be in any order.
 
     Args:
         rank: slab owner (determines which stripes are local-input).
@@ -171,48 +185,24 @@ def compute_rank_stripe_stats(
     Returns:
         Per-stripe statistics (empty arrays for an empty slab).
     """
-    if slab.nnz == 0:
-        empty_i = np.zeros(0, dtype=np.int64)
-        return RankStripeStats(
-            rank=rank,
-            gids=empty_i,
-            owners=empty_i.copy(),
-            nnz=empty_i.copy(),
-            rows_needed=empty_i.copy(),
-            is_local=np.zeros(0, dtype=bool),
-            nnz_order=empty_i.copy(),
-            nnz_group_starts=np.zeros(1, dtype=np.int64),
-        )
-    gids_per_nnz = geometry.stripes_of_cols(slab.cols)
-    order = np.argsort(gids_per_nnz, kind="stable")
-    sorted_gids = gids_per_nnz[order]
-    gids, group_starts = np.unique(sorted_gids, return_index=True)
-    group_starts = np.append(group_starts, len(sorted_gids)).astype(np.int64)
-    nnz_counts = np.diff(group_starts)
-
-    # Unique dense rows per stripe: sort nonzeros by (stripe, col) and
-    # count the first occurrence of each (stripe, col) pair.
-    pair_order = np.lexsort((slab.cols, gids_per_nnz))
-    pg = gids_per_nnz[pair_order]
-    pc = slab.cols[pair_order]
-    first = np.empty(len(pg), dtype=bool)
-    first[0] = True
-    first[1:] = (pg[1:] != pg[:-1]) | (pc[1:] != pc[:-1])
-    group_ids = np.searchsorted(gids, pg)
-    rows_needed = np.bincount(
-        group_ids, weights=first.astype(np.float64), minlength=len(gids)
-    ).astype(np.int64)
-
-    owners = np.searchsorted(
-        geometry._stripe_offset, gids, side="right"
-    ) - 1
+    order = slab.lex_order(col_major=True)
+    cols = slab.cols[order]
+    nnz_gids = geometry.stripes_of_cols(cols)
+    new_gid = np.ones(len(cols), dtype=bool)
+    new_gid[1:] = nnz_gids[1:] != nnz_gids[:-1]
+    new_col = np.ones(len(cols), dtype=bool)
+    new_col[1:] = cols[1:] != cols[:-1]
+    group_starts = np.append(np.flatnonzero(new_gid), len(cols))
+    gids = nnz_gids[group_starts[:-1]]
+    col_rank = np.concatenate(([0], np.cumsum(new_col)))
+    owners = geometry.owners_of_stripes(gids)
     return RankStripeStats(
         rank=rank,
-        gids=gids.astype(np.int64),
-        owners=owners.astype(np.int64),
-        nnz=nnz_counts.astype(np.int64),
-        rows_needed=rows_needed,
+        gids=gids,
+        owners=owners,
+        nnz=np.diff(group_starts),
+        rows_needed=np.diff(col_rank[group_starts]),
         is_local=(owners == rank),
-        nnz_order=order.astype(np.int64),
+        nnz_order=order,
         nnz_group_starts=group_starts,
     )

@@ -124,6 +124,32 @@ class DistDenseMatrix:
         )
 
 
+def _split_rows(matrix: COOMatrix, partition: RowPartition) -> List[COOMatrix]:
+    """``matrix.row_slab(*bounds)`` of every rank in one pass (storage
+    order kept, rows rebased).  Non-decreasing rows are cut at the
+    partition edges, ``cols`` / ``vals`` as views of the global arrays;
+    other input is first bucketed by owner with one stable sort."""
+    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
+    edges = partition.edges()
+    if np.any(rows[1:] < rows[:-1]):
+        owners = partition.owners_of(rows)
+        order = np.argsort(owners, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        cuts = np.searchsorted(owners[order], np.arange(len(edges)))
+    else:
+        cuts = np.searchsorted(rows, edges)
+    return [
+        COOMatrix(
+            rows[lo:hi] - start, cols[lo:hi], vals[lo:hi],
+            (stop - start, matrix.shape[1]), _validated=True,
+        )
+        for lo, hi, start, stop in zip(
+            cuts[:-1].tolist(), cuts[1:].tolist(),
+            edges[:-1].tolist(), edges[1:].tolist(),
+        )
+    ]
+
+
 class DistSparseMatrix:
     """A sparse matrix split into per-rank row slabs (rebased COO)."""
 
@@ -142,12 +168,9 @@ class DistSparseMatrix:
         _validate_populated(partition, global_matrix.shape, "sparse matrix")
         self.global_matrix = global_matrix
         self.partition = partition
-        self.slabs: List[COOMatrix] = []
-        for rank in range(partition.n_parts):
-            start, stop = partition.bounds(rank)
-            slab = global_matrix.row_slab(start, stop)
-            self.slabs.append(slab)
-            if cluster is not None:
+        self.slabs = _split_rows(global_matrix, partition)
+        if cluster is not None:
+            for rank, slab in enumerate(self.slabs):
                 cluster.node(rank).memory.allocate(label, slab.nbytes())
 
     @property

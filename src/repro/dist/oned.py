@@ -58,6 +58,13 @@ class RowPartition:
         """Bounds of every part, in rank order."""
         return [self.bounds(p) for p in range(self.n_parts)]
 
+    def edges(self) -> np.ndarray:
+        """:meth:`bounds` of every part as one array: part ``p`` owns
+        rows ``edges[p]:edges[p + 1]``."""
+        base, extra = divmod(self.n_rows, self.n_parts)
+        parts = np.arange(self.n_parts + 1, dtype=np.int64)
+        return parts * base + np.minimum(parts, extra)
+
     # ------------------------------------------------------------------
     def owner_of(self, row: int) -> int:
         """Part that owns global ``row``."""

@@ -61,6 +61,15 @@ class COOMatrix:
         return cls(zero, zero.copy(), np.zeros(0, dtype=np.float64), shape)
 
     @classmethod
+    def view(cls, rows, cols, vals, shape: Tuple[int, int]) -> "COOMatrix":
+        """Wrap slices of a validated matrix's arrays without touching
+        them (no conversion, no check): for loops cutting many views."""
+        self = object.__new__(cls)
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+        self._validated = True
+        return self
+
+    @classmethod
     def from_scipy(cls, mat) -> "COOMatrix":
         """Build from any scipy.sparse matrix."""
         coo = mat.tocoo()
@@ -126,42 +135,55 @@ class COOMatrix:
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
+    def is_row_major(self) -> bool:
+        """Whether the nonzeros already sit in ascending (row, col)
+        order (equal coordinates allowed); one O(nnz) pass."""
+        step = self.rows[1:] - self.rows[:-1]
+        return bool(np.all(
+            (step > 0) | ((step == 0) & (self.cols[1:] >= self.cols[:-1]))
+        ))
+
+    def lex_order(self, col_major: bool) -> np.ndarray:
+        """The stable permutation sorting the nonzeros by (col, row) if
+        ``col_major`` else (row, col) — ``np.lexsort`` in one sort: the
+        two keys are fused and sorted with numpy's default (vectorised,
+        unstable) kind; equal keys are equal coordinates, so stability
+        only needs restoring where duplicates exist."""
+        major, minor = (
+            (self.cols, self.rows) if col_major else (self.rows, self.cols)
+        )
+        if self.shape[0] * self.shape[1] >= 2**63:  # fused key overflows
+            return np.lexsort((minor, major))
+        key = major * self.shape[0 if col_major else 1] + minor
+        order = np.argsort(key)
+        sorted_key = key[order]
+        if np.any(sorted_key[1:] == sorted_key[:-1]):
+            order = order[np.lexsort((order, sorted_key))]
+        return order
+
     def sorted_row_major(self) -> "COOMatrix":
-        """Return a copy with nonzeros sorted by (row, col).
+        """Return a copy with nonzeros sorted by (row, col), stable.
 
         This is the ordering the synchronous/local-input matrix uses
         (paper §4.1): it lets a thread buffer a whole output row before a
         single accumulation into ``C``.
         """
-        order = np.lexsort((self.cols, self.rows))
-        return self._permuted(order)
+        return self.select(self.lex_order(col_major=False))
 
     def sorted_col_major(self) -> "COOMatrix":
-        """Return a copy with nonzeros sorted by (col, row).
+        """Return a copy with nonzeros sorted by (col, row), stable.
 
         This is the ordering asynchronous stripes use: it makes the unique
         ``c_id``s (hence the remote dense rows to fetch) cheap to extract.
         """
-        order = np.lexsort((self.rows, self.cols))
-        return self._permuted(order)
-
-    def _permuted(self, order: np.ndarray) -> "COOMatrix":
-        return COOMatrix(
-            self.rows[order],
-            self.cols[order],
-            self.vals[order],
-            self.shape,
-            _validated=True,
-        )
+        return self.select(self.lex_order(col_major=True))
 
     # ------------------------------------------------------------------
     # Slicing
     # ------------------------------------------------------------------
     def select(self, mask: np.ndarray) -> "COOMatrix":
-        """Return the sub-matrix of nonzeros where ``mask`` is True.
-
-        The shape is unchanged; only the stored entries shrink.
-        """
+        """Return the nonzeros picked by ``mask`` (booleans or indices,
+        in that order); the shape is unchanged."""
         return COOMatrix(
             self.rows[mask],
             self.cols[mask],
@@ -225,17 +247,23 @@ class COOMatrix:
         )
 
     def sum_duplicates(self) -> "COOMatrix":
-        """Return a copy with duplicate coordinates summed."""
-        if self.nnz == 0:
-            return self
-        order = np.lexsort((self.cols, self.rows))
-        r, c, v = self.rows[order], self.cols[order], self.vals[order]
-        new_group = np.empty(len(r), dtype=bool)
-        new_group[0] = True
+        """Sum duplicate coordinates: the matrix itself when it has
+        none, else a row-major copy with each run of equal coordinates
+        folded left to right in storage order."""
+        ordered = self if self.is_row_major() else self.sorted_row_major()
+        merged = ordered._merge_adjacent()
+        return self if merged is ordered else merged
+
+    def _merge_adjacent(self) -> "COOMatrix":
+        """Fold each run of equal coordinates of a row-major matrix;
+        ``self`` when there is none."""
+        r, c = self.rows, self.cols
+        new_group = np.ones(len(r), dtype=bool)
         new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        group_ids = np.cumsum(new_group) - 1
-        sums = np.zeros(group_ids[-1] + 1, dtype=np.float64)
-        np.add.at(sums, group_ids, v)
+        if new_group.all():
+            return self
+        # Adds in index order onto 0.0, as np.add.at into zeros would.
+        sums = np.bincount(np.cumsum(new_group) - 1, weights=self.vals)
         return COOMatrix(
             r[new_group], c[new_group], sums, self.shape, _validated=True
         )
@@ -262,3 +290,4 @@ class COOMatrix:
             and np.array_equal(a.cols, b.cols)
             and np.allclose(a.vals, b.vals)
         )
+

@@ -61,12 +61,22 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSRMatrix":
-        """Build from COO; duplicate coordinates are summed."""
-        coo = coo.sum_duplicates().sorted_row_major()
+        """Build from COO in any order; duplicate coordinates are summed.
+
+        Ascending (row, col) input — what the planner hands over — is
+        recognised in one O(nnz) pass and used as it stands; anything
+        else is sorted once, stably, so duplicates fold in storage
+        order.  The result shares no memory with ``coo``.
+        """
+        ordered = coo if coo.is_row_major() else coo.sorted_row_major()
+        merged = ordered._merge_adjacent()
         indptr = np.zeros(coo.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, coo.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, coo.cols.copy(), coo.vals.copy(), coo.shape)
+        np.cumsum(
+            np.bincount(merged.rows, minlength=coo.shape[0]), out=indptr[1:]
+        )
+        if merged is coo:
+            return cls(indptr, coo.cols.copy(), coo.vals.copy(), coo.shape)
+        return cls(indptr, merged.cols, merged.vals, coo.shape)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":

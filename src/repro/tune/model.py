@@ -524,12 +524,16 @@ class CostModel:
 
         # Phase 1: dense-stripe multicasts (sync lane, both ends).
         recv_bytes = np.zeros(p_r, dtype=np.int64)
-        for gid, dests in sorted(plan.stripe_destinations.items()):
+        gids = sorted(plan.stripe_destinations)
+        lo, hi = geometry.col_bounds_of(gids)
+        for gid, owner, nbytes in zip(
+            gids,
+            geometry.owners_of_stripes(gids).tolist(),
+            ((hi - lo) * k * 8).tolist(),
+        ):
+            dests = plan.stripe_destinations[gid]
             if not dests:
                 continue
-            owner = geometry.owner_of_stripe(gid)
-            lo, hi = geometry.col_bounds(gid)
-            nbytes = (hi - lo) * k * 8
             receivers = [d for d in dests if d != owner]
             if not receivers:
                 continue

@@ -7,11 +7,11 @@ from repro.core import (
     AsyncStripe,
     AsyncStripeMatrix,
     SyncLocalMatrix,
-    build_async_stripe_matrix,
     build_sync_local_matrix,
 )
 from repro.errors import FormatError
 from repro.sparse import COOMatrix, CSRMatrix
+from tests.core.test_plan_construction import oracle_async_matrix
 
 
 @pytest.fixture
@@ -97,21 +97,21 @@ class TestAsyncStripeMatrix:
             2: (1, np.array([1, 5])),
             0: (0, np.array([0])),
         }
-        m = build_async_stripe_matrix(0, slab, sels)
+        m = oracle_async_matrix(0, slab, sels)
         assert m.n_stripes == 2
         assert [s.gid for s in m.stripes] == [0, 2]  # ascending gid
         assert m.nnz == 3
 
     def test_column_major_within_stripe(self, slab):
         sels = {1: (1, np.array([0, 1, 4, 5]))}
-        m = build_async_stripe_matrix(0, slab, sels)
+        m = oracle_async_matrix(0, slab, sels)
         coo = m.stripes[0].nonzeros
         keys = list(zip(coo.cols, coo.rows))
         assert keys == sorted(keys)
 
     def test_row_ids_sorted_unique(self, slab):
         sels = {0: (1, np.array([1, 5, 2]))}
-        m = build_async_stripe_matrix(0, slab, sels)
+        m = oracle_async_matrix(0, slab, sels)
         ids = m.stripes[0].row_ids
         assert np.all(np.diff(ids) > 0)
 
@@ -120,7 +120,7 @@ class TestAsyncStripeMatrix:
             0: (1, np.array([0])),       # col 0
             1: (2, np.array([1, 5])),    # col 5 (shared)
         }
-        m = build_async_stripe_matrix(0, slab, sels)
+        m = oracle_async_matrix(0, slab, sels)
         assert m.total_rows_needed == 2
 
     def test_stripe_pointers(self, slab):
@@ -128,23 +128,23 @@ class TestAsyncStripeMatrix:
             0: (1, np.array([0])),
             1: (2, np.array([1, 5, 2])),
         }
-        m = build_async_stripe_matrix(0, slab, sels)
+        m = oracle_async_matrix(0, slab, sels)
         assert list(m.stripe_pointers()) == [0, 1, 4]
 
     def test_unordered_gids_rejected(self, slab):
-        good = build_async_stripe_matrix(
+        good = oracle_async_matrix(
             0, slab, {0: (1, np.array([0])), 1: (2, np.array([1]))}
         )
         with pytest.raises(FormatError):
             AsyncStripeMatrix(0, list(reversed(good.stripes)))
 
     def test_duplicate_gids_rejected(self, slab):
-        good = build_async_stripe_matrix(0, slab, {0: (1, np.array([0]))})
+        good = oracle_async_matrix(0, slab, {0: (1, np.array([0]))})
         with pytest.raises(FormatError):
             AsyncStripeMatrix(0, [good.stripes[0], good.stripes[0]])
 
     def test_empty(self, slab):
-        m = build_async_stripe_matrix(0, slab, {})
+        m = oracle_async_matrix(0, slab, {})
         assert m.n_stripes == 0
         assert m.nnz == 0
         assert list(m.stripe_pointers()) == [0]
@@ -200,7 +200,7 @@ class TestScheduleCaching:
         assert transfer_cache_stats().snapshot() == (1, 1)
 
     def test_finalize_schedules_matches_per_stripe_build(self, slab):
-        m = build_async_stripe_matrix(
+        m = oracle_async_matrix(
             0, slab,
             {1: (0, np.array([0, 2, 3])), 2: (0, np.array([1, 5]))},
         )
@@ -223,7 +223,7 @@ class TestScheduleCaching:
     def test_finalize_idempotent(self, slab):
         from repro.dist import RowPartition
 
-        m = build_async_stripe_matrix(0, slab, {1: (0, np.array([0, 2]))})
+        m = oracle_async_matrix(0, slab, {1: (0, np.array([0, 2]))})
         m.finalize_schedules(RowPartition(8, 1), max_gap=1)
         schedule = m.stripes[0].schedule
         m.finalize_schedules(RowPartition(8, 1), max_gap=1)
@@ -259,7 +259,7 @@ class TestReduceScheduleCaching:
 
         from repro.dist import RowPartition
 
-        m = build_async_stripe_matrix(
+        m = oracle_async_matrix(
             0, slab,
             {1: (0, np.array([0, 2, 3])), 2: (0, np.array([1, 5]))},
         )
@@ -288,7 +288,7 @@ class TestReduceScheduleCaching:
     def test_finalize_builds_reduce_schedules(self, slab):
         from repro.dist import RowPartition
 
-        m = build_async_stripe_matrix(
+        m = oracle_async_matrix(
             0, slab,
             {1: (0, np.array([0, 2, 3])), 2: (0, np.array([1, 5]))},
         )
@@ -305,7 +305,7 @@ class TestReduceScheduleCaching:
     def test_missing_reduce_schedule_unfinalizes(self, slab):
         from repro.dist import RowPartition
 
-        m = build_async_stripe_matrix(0, slab, {1: (0, np.array([0, 2]))})
+        m = oracle_async_matrix(0, slab, {1: (0, np.array([0, 2]))})
         m.finalize_schedules(RowPartition(8, 1), max_gap=1)
         m.stripes[0].reduce_schedule = None
         assert not m.finalized

@@ -18,7 +18,6 @@ from repro.cluster.network import ComputeModel, NetworkModel
 from repro.cluster.simmpi import CommAccount, SimMPI
 from repro.core import (
     AsyncStripe,
-    build_async_stripe_matrix,
     preprocess,
     transfer_cache_stats,
 )
@@ -32,6 +31,7 @@ from repro.errors import CommunicationError, OutOfMemoryError
 from repro.runtime.pool import WORKERS_ENV, get_exec_pool, shutdown_exec_pool
 from repro.sparse import COOMatrix, ScatterStats, erdos_renyi, spmm_reference
 from repro.sparse.ops import build_reduce_order, segmented_reduce_into
+from tests.core.test_plan_construction import oracle_async_matrix
 
 
 def make_rank(rng, n_rows, nnz_per_stripe, width, hot_row=None):
@@ -52,7 +52,7 @@ def make_rank(rng, n_rows, nnz_per_stripe, width, hot_row=None):
         rows, cols, rng.standard_normal(len(rows)), (n_rows, n_cols)
     )
     bounds = np.concatenate(([0], np.cumsum(nnz_per_stripe)))
-    matrix = build_async_stripe_matrix(
+    matrix = oracle_async_matrix(
         0, slab,
         {
             g + 1: (g + 1, np.arange(bounds[g], bounds[g + 1]))
