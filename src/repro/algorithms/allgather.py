@@ -9,9 +9,10 @@ this baseline cannot run kmer at K=128 in the paper (Fig. 2).
 
 from __future__ import annotations
 
-import numpy as np
-
+from ..cluster.buffers import local_arena
 from ..runtime.pool import get_exec_pool
+from ..sparse.csr import CSRMatrix
+from ..sparse.ops import spmm_row_panels
 from .base import DistSpMMAlgorithm, RunContext
 
 
@@ -34,14 +35,12 @@ class AllGather(DistSpMMAlgorithm):
         def rank_body(rank: int) -> float:
             # Writes only C.block(rank); pool-safe.
             slab = ctx.A.slab(rank)
-            if slab.nnz:
-                csr = slab.to_scipy().tocsr()
-                ctx.C.block(rank)[:] += csr @ ctx.B.data
-                nonempty = int(np.count_nonzero(np.diff(csr.indptr)))
-            else:
-                nonempty = 0
+            done = spmm_row_panels(
+                CSRMatrix.from_coo(slab), ctx.B.data, ctx.C.block(rank),
+                arena=local_arena(),
+            )
             seconds = compute.sync_panel_time(
-                slab.nnz, k, nonempty, ctx.threads.total
+                slab.nnz, k, done.rows_written, ctx.threads.total
             )
             if faults is not None:
                 seconds *= faults.compute_skew(rank)

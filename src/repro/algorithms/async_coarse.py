@@ -15,9 +15,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..cluster.buffers import local_arena
 from ..cluster.faults import RESILIENCE_STATS, resolve_onesided
 from ..cluster.simmpi import CommAccount, _OneSidedBatch
+from ..dist.blocked import bucket_blocks
 from ..runtime.pool import get_exec_pool
+from ..sparse.csr import CSRMatrix
+from ..sparse.ops import spmm_row_panels
 from .base import DistSpMMAlgorithm, RunContext
 
 
@@ -39,6 +43,9 @@ class AsyncCoarse(DistSpMMAlgorithm):
         compute = ctx.machine.compute
         k = ctx.k
         faults = ctx.cluster.faults
+        _, nnz_rb = bucket_blocks(
+            ctx.A.global_matrix, ctx.A.partition, ctx.B.partition
+        )
 
         def rank_body(
             rank: int,
@@ -49,7 +56,7 @@ class AsyncCoarse(DistSpMMAlgorithm):
             if slab.nnz == 0:
                 return None
             account = CommAccount()
-            needed_blocks = np.unique(ctx.B.partition.owners_of(slab.cols))
+            needed_blocks = np.flatnonzero(nnz_rb[rank])
             owners = needed_blocks[needed_blocks != rank]
             get_time = 0.0
             sync_time = 0.0
@@ -82,11 +89,12 @@ class AsyncCoarse(DistSpMMAlgorithm):
                     outcome.root_costs, outcome.stats,
                 )
 
-            csr = slab.to_scipy().tocsr()
-            ctx.C.block(rank)[:] += csr @ ctx.B.data
-            nonempty = int(np.count_nonzero(np.diff(csr.indptr)))
+            done = spmm_row_panels(
+                CSRMatrix.from_coo(slab), ctx.B.data, ctx.C.block(rank),
+                arena=local_arena(),
+            )
             comp_time = compute.sync_panel_time(
-                slab.nnz, k, nonempty, ctx.threads.total
+                slab.nnz, k, done.rows_written, ctx.threads.total
             )
             if faults is not None:
                 comp_time *= faults.compute_skew(rank)

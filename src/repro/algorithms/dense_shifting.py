@@ -13,62 +13,46 @@ memory on large matrices and large K (paper Figs. 9, 11).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict
+from typing import Tuple
 
 import numpy as np
 
+from ..cluster.buffers import local_arena
+from ..dist.blocked import BlockedMatrix
 from ..errors import ConfigurationError
 from ..runtime.pool import get_exec_pool
 from .base import DistSpMMAlgorithm, RunContext
 
 
-@dataclass
-class _RankPieces:
-    """One rank's slab pre-bucketed by owner block of the column."""
-
-    by_block: Dict[int, object]  # block id -> scipy CSR piece
-    nnz_by_block: Dict[int, int]
-    rows_by_block: Dict[int, int]  # nonempty output rows per piece
-
-
-def bucket_slab(slab, col_partition, n_blocks: int, n_cols: int) -> _RankPieces:
-    """Split one rank's slab into per-owner-block scipy CSR pieces.
-
-    Shared by the simulator path below and the shared-memory transport
-    (which pre-buckets on the driver before forking workers).
-
-    Args:
-        slab: the rank's row-rebased :class:`~repro.sparse.coo.COOMatrix`.
-        col_partition: the dense-row partition of ``B`` (block owners).
-        n_blocks: number of ``B`` blocks (= ranks).
-        n_cols: global dense row count (``B.shape[0]``; pieces span the
-            full column space so ``piece @ B`` works unsliced).
+def ds_held_blocks(p: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The bundle each rank holds at each step, as ``(first, last)`` of
+    shape ``(n_groups, p)``: rank ``r`` computes with ``B`` blocks
+    ``first[s, r] .. last[s, r] - 1`` at step ``s`` — its own
+    replication group's, then one cyclic shift per step.
     """
-    import scipy.sparse as sp
+    n_groups = math.ceil(p / c)
+    steps = np.arange(n_groups)[:, None]
+    first = (np.arange(p) // c + steps) % n_groups * c
+    return first, np.minimum(first + c, p)
 
-    by_block: Dict[int, object] = {}
-    nnz_by_block: Dict[int, int] = {}
-    rows_by_block: Dict[int, int] = {}
-    if slab.nnz == 0:
-        return _RankPieces(by_block, nnz_by_block, rows_by_block)
-    owners = col_partition.owners_of(slab.cols)
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    boundaries = np.searchsorted(sorted_owners, np.arange(n_blocks + 1))
-    for block_id in range(n_blocks):
-        lo, hi = boundaries[block_id], boundaries[block_id + 1]
-        if lo == hi:
-            continue
-        sel = order[lo:hi]
-        piece = sp.csr_matrix(
-            (slab.vals[sel], (slab.rows[sel], slab.cols[sel])),
-            shape=(slab.shape[0], n_cols),
-        )
-        by_block[block_id] = piece
-        nnz_by_block[block_id] = int(hi - lo)
-        rows_by_block[block_id] = int(len(np.unique(slab.rows[sel])))
-    return _RankPieces(by_block, nnz_by_block, rows_by_block)
+
+def ds_step_seconds(
+    nnz_rb: np.ndarray, rows_rb: np.ndarray, c: int, k: int, compute,
+    threads: int,
+) -> np.ndarray:
+    """Fault-free compute seconds of every (step, rank) of DS(``c``),
+    shape ``(n_groups, p)``: the panel time of the held bundle's pieces
+    (``nnz_rb`` / ``rows_rb`` of a :class:`BlockedMatrix`).  The
+    simulator charges these and the tuner predicts with them.
+    """
+    p = len(nnz_rb)
+    held = ds_held_blocks(p, c)[0] // c
+    ranks = np.arange(p)
+    bounds = np.arange(0, p, c)
+    return compute.sync_panel_time(
+        np.add.reduceat(nnz_rb, bounds, axis=1)[ranks, held], k,
+        np.add.reduceat(rows_rb, bounds, axis=1)[ranks, held], threads,
+    )
 
 
 class DenseShifting(DistSpMMAlgorithm):
@@ -88,7 +72,6 @@ class DenseShifting(DistSpMMAlgorithm):
         c = min(self.replication, p)
         n_groups = math.ceil(p / c)
         net = ctx.machine.network
-        compute = ctx.machine.compute
         k = ctx.k
         faults = ctx.cluster.faults
         max_block_bytes = ctx.B.partition.max_size() * k * 8
@@ -102,11 +85,22 @@ class DenseShifting(DistSpMMAlgorithm):
                 "DS_replicas", (bundle_blocks - 1) * max_block_bytes
             )
 
-        pool = get_exec_pool()
-        pieces = pool.map(lambda rank: self._bucket_slab(ctx, rank), p)
-        groups = [
-            list(range(g * c, min((g + 1) * c, p))) for g in range(n_groups)
-        ]
+        blocked = BlockedMatrix.build(
+            ctx.A.global_matrix, ctx.A.partition, ctx.B.partition
+        )
+        first, last = ds_held_blocks(p, c)
+
+        def rank_body(rank: int) -> None:
+            # Writes only C.block(rank), so a rank's steps need no
+            # barrier between them: held bundles in step order, each
+            # bundle's blocks in ascending order.
+            c_block, arena = ctx.C.block(rank), local_arena()
+            for lo, hi in zip(first[:, rank].tolist(), last[:, rank].tolist()):
+                blocked.multiply_into(
+                    c_block, ctx.B.data, rank, lo, hi, arena=arena
+                )
+
+        get_exec_pool().map(rank_body, p)
 
         # Initial intra-group allgather.
         if c > 1:
@@ -121,32 +115,15 @@ class DenseShifting(DistSpMMAlgorithm):
             ctx.mpi.traffic.collective_bytes += p * gathered_bytes
             ctx.mpi.traffic.collective_ops += n_groups
 
+        step_seconds = ds_step_seconds(
+            blocked.nnz_rb, blocked.rows_rb, c, k, ctx.machine.compute,
+            ctx.threads.total,
+        )
+        if faults is not None:
+            step_seconds *= [faults.compute_skew(r) for r in range(p)]
         shift_bytes = c * max_block_bytes
         shift_cost = net.p2p_time(shift_bytes)
-        for step in range(n_groups):
-
-            def rank_body(rank: int) -> float:
-                # Writes only C.block(rank); pool-safe within a step.
-                my_group = min(rank // c, n_groups - 1)
-                held = groups[(my_group + step) % n_groups]
-                nnz_step = 0
-                rows_step = 0
-                c_block = ctx.C.block(rank)
-                for block_id in held:
-                    piece = pieces[rank].by_block.get(block_id)
-                    if piece is None:
-                        continue
-                    c_block += piece @ ctx.B.data
-                    nnz_step += pieces[rank].nnz_by_block[block_id]
-                    rows_step += pieces[rank].rows_by_block[block_id]
-                seconds = compute.sync_panel_time(
-                    nnz_step, k, rows_step, ctx.threads.total
-                )
-                if faults is not None:
-                    seconds *= faults.compute_skew(rank)
-                return seconds
-
-            comp_times = np.asarray(pool.map(rank_body, p))
+        for step, comp_times in enumerate(step_seconds):
             step_max = float(comp_times.max(initial=0.0))
             is_last = step == n_groups - 1
             for rank in range(p):
@@ -163,13 +140,6 @@ class DenseShifting(DistSpMMAlgorithm):
                     ctx.mpi.traffic.p2p_bytes += shift_bytes
                     ctx.mpi.traffic.p2p_messages += 1
                     ctx.mpi.traffic._recv(rank, shift_bytes)
-
-    # ------------------------------------------------------------------
-    def _bucket_slab(self, ctx: RunContext, rank: int) -> _RankPieces:
-        """Split a rank's slab into per-block scipy CSR pieces."""
-        return bucket_slab(
-            ctx.A.slab(rank), ctx.B.partition, ctx.n_nodes, ctx.B.shape[0]
-        )
 
     def _extras(self, ctx: RunContext) -> dict:
         return {"replication": self.replication}

@@ -46,6 +46,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -72,8 +73,11 @@ _DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled"})
 #: Env value selecting the memory-only cache (no disk persistence).
 _MEMORY_VALUE = "mem"
 
-#: Default capacity of the in-process LRU layer (plans are a few MB at
-#: the simulator's matrix scale; eight covers a whole Figure sweep).
+#: Default capacity of the in-process LRU layer, in *runs*: a 1D plan
+#: fills one slot, a layer plan of a depth-``d`` grid ``1/d`` of one, so
+#: a grid run costs what a 1D run costs.  Plans are a few MB at the
+#: simulator's matrix scale; eight slots hold a whole Figure sweep
+#: (Two-Face and AsyncFine on 1D and one grid are four).
 DEFAULT_MEMORY_ENTRIES = 8
 
 #: File extension of on-disk entries (the v2 plan container).
@@ -212,14 +216,35 @@ def plan_cache_key(
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
+def _remember(cache, key: str, plan: TwoFacePlan) -> None:
+    """Hold ``plan`` as the most recent entry of ``cache``'s LRU (a
+    :class:`PlanCache` or a namespace) and evict the oldest while the
+    held plans fill more than ``max_memory_entries`` slots.  A layer
+    plan of a depth-``d`` grid fills ``1/d`` of a slot (exact, so ``d``
+    layers are one), which makes a grid run as cheap to hold as a 1D run.
+    """
+    if cache.max_memory_entries == 0:
+        return
+    with cache._lock:
+        memory = cache._memory
+        memory[key] = plan
+        memory.move_to_end(key)
+        used = sum(Fraction(1, p.grid_spec.depth) for p in memory.values())
+        while used > cache.max_memory_entries:
+            _, oldest = memory.popitem(last=False)
+            used -= Fraction(1, oldest.grid_spec.depth)
+            cache.stats.evictions += 1
+
+
 class PlanCache:
     """Two-layer (LRU memory + optional disk) plan cache.
 
     Args:
         cache_dir: directory for persistent entries; None keeps plans
             in memory only.  Created on first store.
-        max_memory_entries: LRU capacity; 0 disables the memory layer
-            (every hit deserialises from disk).
+        max_memory_entries: LRU capacity in slots (a 1D plan is one,
+            a depth-``d`` grid's layer plan ``1/d``); 0 disables the
+            memory layer (every hit deserialises from disk).
         stats: counter sink; defaults to the process-global
             :data:`PLAN_CACHE_STATS`.
     """
@@ -263,7 +288,7 @@ class PlanCache:
         plan = self._disk_load(key, self.stats)
         if plan is not None:
             self.stats.hits += 1
-            self._remember(key, plan)
+            _remember(self, key, plan)
             return plan
         self.stats.misses += 1
         return None
@@ -275,7 +300,7 @@ class PlanCache:
         pid-suffixed temp file and renamed into place, so a concurrent
         reader (or a crash mid-write) never observes a torn entry.
         """
-        self._remember(key, plan)
+        _remember(self, key, plan)
         self._disk_store(key, plan)
         self.stats.stores += 1
 
@@ -335,17 +360,6 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)
-
-    # ------------------------------------------------------------------
-    def _remember(self, key: str, plan: TwoFacePlan) -> None:
-        if self.max_memory_entries == 0:
-            return
-        with self._lock:
-            self._memory[key] = plan
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-                self.stats.evictions += 1
 
 
 # ----------------------------------------------------------------------
@@ -411,30 +425,20 @@ class PlanCacheNamespace:
         plan = self.parent._disk_load(key, self.stats)
         if plan is not None:
             self.stats.hits += 1
-            self._remember(key, plan)
+            _remember(self, key, plan)
             return plan
         self.stats.misses += 1
         return None
 
     def put(self, key: str, plan: TwoFacePlan) -> None:
         """Store ``plan``: tenant LRU + the shared disk layer."""
-        self._remember(key, plan)
+        _remember(self, key, plan)
         self.parent._disk_store(key, plan)
         self.stats.stores += 1
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)
-
-    def _remember(self, key: str, plan: TwoFacePlan) -> None:
-        if self.max_memory_entries == 0:
-            return
-        with self._lock:
-            self._memory[key] = plan
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-                self.stats.evictions += 1
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +577,7 @@ def cached_preprocess(
         A, k, stripe_width, coeffs=coeffs, machine=machine,
         panel_height=panel_height, cost_model=cost_model,
         force_all_async=force_all_async, force_all_sync=force_all_sync,
-        plan_workers=plan_workers, classify_k=classify_k,
+        plan_workers=plan_workers, classify_k=classify_k, grid=grid,
     )
     cache.put(key, plan)
     return plan, report

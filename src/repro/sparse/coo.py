@@ -17,6 +17,17 @@ import numpy as np
 from ..errors import FormatError, ShapeError
 
 
+def stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of integer keys that are
+    mostly distinct: numpy's default (vectorised, unstable) kind, with
+    stability restored by one lexsort only where equal keys exist."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    if np.any(sorted_key[1:] == sorted_key[:-1]):
+        order = order[np.lexsort((order, sorted_key))]
+    return order
+
+
 @dataclass
 class COOMatrix:
     """A sparse matrix in coordinate format.
@@ -145,21 +156,17 @@ class COOMatrix:
 
     def lex_order(self, col_major: bool) -> np.ndarray:
         """The stable permutation sorting the nonzeros by (col, row) if
-        ``col_major`` else (row, col) — ``np.lexsort`` in one sort: the
-        two keys are fused and sorted with numpy's default (vectorised,
-        unstable) kind; equal keys are equal coordinates, so stability
-        only needs restoring where duplicates exist."""
+        ``col_major`` else (row, col) — ``np.lexsort`` in one sort of
+        the two keys fused (:func:`stable_argsort`; equal keys are
+        equal coordinates)."""
         major, minor = (
             (self.cols, self.rows) if col_major else (self.rows, self.cols)
         )
         if self.shape[0] * self.shape[1] >= 2**63:  # fused key overflows
             return np.lexsort((minor, major))
-        key = major * self.shape[0 if col_major else 1] + minor
-        order = np.argsort(key)
-        sorted_key = key[order]
-        if np.any(sorted_key[1:] == sorted_key[:-1]):
-            order = order[np.lexsort((order, sorted_key))]
-        return order
+        return stable_argsort(
+            major * self.shape[0 if col_major else 1] + minor
+        )
 
     def sorted_row_major(self) -> "COOMatrix":
         """Return a copy with nonzeros sorted by (row, col), stable.

@@ -279,9 +279,12 @@ def segmented_reduce_into(
             path); int64, like ``seg_ptrs``.
         vals_perm: the nonzero values permuted into reduction order
             (contiguous float64, like ``source``).
-        seg_ptrs: CSR-style segment boundaries
-            (``seg_starts`` + ``[nnz]``), one more than the segments.
-        out_rows: the unique output-row id of each segment (ignored
+        seg_ptrs: CSR-style segment boundaries into ``cols``, one more
+            than the segments (``seg_starts`` + ``[nnz]``, a CSR
+            ``indptr``, or a window of either: offsets are absolute
+            and empty segments add 0.0).
+        out_rows: the unique output-row id of each segment, or
+            ``slice(None)`` when segment ``i`` is row ``i`` (ignored
             when ``fold`` is given).
         arena: optional scratch provider; the per-segment sums then
             land in the reused ``"scatter"`` slot (zero allocations).
@@ -316,9 +319,16 @@ def segmented_reduce_into(
             n_seg, source.shape[0], k,
             seg_ptrs, cols, vals_perm, source, reduced,
         )
-    else:  # pragma: no cover - scipy without the private kernel
-        contrib = vals_perm[:, None] * source[cols]
-        np.add.reduceat(contrib, seg_ptrs[:-1], axis=0, out=reduced)
+    else:  # scipy without the private kernel
+        # seg_ptrs may be a window into longer cols/vals_perm (absolute
+        # offsets) and may repeat (empty segments, which stay 0.0).
+        lo, hi = int(seg_ptrs[0]), int(seg_ptrs[-1])
+        contrib = vals_perm[lo:hi, None] * source[cols[lo:hi]]
+        full = np.flatnonzero(seg_ptrs[1:] > seg_ptrs[:-1])
+        if len(full):
+            reduced[full] = np.add.reduceat(
+                contrib, seg_ptrs[full] - lo, axis=0
+            )
     if fold is None:
         C[out_rows] += reduced
     elif _csr_matvecs is not None and C.flags.c_contiguous:
@@ -419,15 +429,18 @@ def spmm_row_panels(
     B: np.ndarray,
     C: np.ndarray,
     panel_height: int = 32,
+    arena=None,
 ) -> KernelStats:
     """Row-panel SpMM: accumulate ``A @ B`` into ``C`` (Algorithm 2).
 
     In the modelled execution each output row is assembled in a
     thread-local buffer and flushed into ``C`` with a single accumulation,
     so ``atomic_ops`` equals the number of *nonempty* output rows, not the
-    number of nonzeros.  The numerics are computed with a vectorised CSR
-    multiply, which is associative-reordering-equivalent to the modelled
-    loop.
+    number of nonzeros.  The numerics do the same: every row is one
+    segment of :func:`segmented_reduce_into`, summed left to right in
+    storage order onto zero and added to ``C`` once (bit for bit
+    scipy's ``C += A @ B``, in arena scratch instead of a fresh
+    ``(n_rows, K)`` temporary).
 
     Args:
         A: the sparse operand in CSR.
@@ -435,17 +448,25 @@ def spmm_row_panels(
         C: dense output to accumulate into, shape ``(A.n_rows, K)``.
         panel_height: rows per work unit; affects work division in the
             runtime model, not numerical results.
+        arena: optional scratch provider for the row sums.
 
     Returns:
         Operation counts for the timing model.
     """
     if panel_height <= 0:
         raise ShapeError(f"panel height must be positive: {panel_height}")
-    B = np.asarray(B, dtype=np.float64)
+    B = np.ascontiguousarray(B, dtype=np.float64)
     _check_dims(A.shape, B, C)
     if A.nnz == 0:
         return KernelStats()
-    C += A.to_scipy() @ B
+    # Every row is a segment (empty ones add 0.0), so the rows land as
+    # one contiguous ``+=``.  Compressing to the nonempty rows measured
+    # 20-30 % slower on the suite's slabs, where 89-100 % of rows are
+    # nonempty.
+    segmented_reduce_into(
+        C, B, A.indices, A.data, A.indptr, slice(None),
+        arena=arena, stats=ScatterStats(),  # a product, not a scatter
+    )
     nonempty = int(np.count_nonzero(np.diff(A.indptr)))
     return KernelStats(
         nnz_processed=A.nnz, atomic_ops=nonempty, rows_written=nonempty

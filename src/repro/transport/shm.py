@@ -327,35 +327,41 @@ def _build_allgather(layer: _Layer, A_sub, k, traffic,
     _build_block_compute(layer, A_sub, k, faults_view)
 
 
-def _build_async_coarse(layer: _Layer, A_sub, k, net, traffic,
-                        faults_view, resil, slabs) -> None:
+def _build_async_coarse(layer: _Layer, A_dist, k, net, traffic,
+                        faults_view, resil) -> None:
+    from ..dist.blocked import bucket_blocks
+
     p_r = layer.row_part.n_parts
     backoffs = [0.0] * p_r
     sizes = np.array([layer.col_part.size(r) for r in range(p_r)])
+    _, nnz_rb = bucket_blocks(
+        A_dist.global_matrix, layer.row_part, layer.col_part
+    )
     for rank in range(p_r):
-        slab = slabs[rank]
-        if slab.nnz == 0:
+        needed = np.flatnonzero(nnz_rb[rank])
+        if not len(needed):
             continue
-        needed = np.unique(layer.col_part.owners_of(slab.cols))
         owners = needed[needed != rank]
         backoffs[rank] = _count_onesided(
             faults_view, net, rank, owners, layer.ranks[rank],
             sizes[owners] * (k * 8), traffic, resil,
         )
-    _build_block_compute(layer, A_sub, k, faults_view, backoffs=backoffs)
+    _build_block_compute(layer, A_dist, k, faults_view, backoffs=backoffs)
 
 
 def _build_block_compute(layer: _Layer, A_dist, k, faults_view,
                          backoffs: Optional[List[float]] = None) -> None:
     """The shared compute body of AllGather / AsyncCoarse: with the
     whole panel visible, each rank is one CSR SpMM over its slab."""
+    from ..sparse.csr import CSRMatrix
+    from ..sparse.ops import spmm_row_panels
+
     p_r = layer.row_part.n_parts
     B_l, out = layer.B_l, layer.out
     stage: Dict[int, Callable] = {}
     for rank in range(p_r):
         lo, hi = layer.row_part.bounds(rank)
-        slab = A_dist.slab(rank)
-        csr = slab.to_scipy().tocsr() if slab.nnz else None
+        csr = CSRMatrix.from_coo(A_dist.slab(rank))
         sleep_s = backoffs[rank] if backoffs else 0.0
 
         def fn(arena, _lo=lo, _hi=hi, _csr=csr, _sleep=sleep_s):
@@ -363,24 +369,22 @@ def _build_block_compute(layer: _Layer, A_dist, k, faults_view,
             c_block[:] = 0.0
             if _sleep > 0.0:
                 time.sleep(_sleep)
-            if _csr is not None:
-                c_block += _csr @ B_l
+            spmm_row_panels(_csr, B_l, c_block, arena=arena)
             return None
 
         stage[layer.ranks[rank]] = _skewed(fn, _skew_of(faults_view, rank))
     layer.stages = [stage]
+    layer.arena_ceilings = {"scatter": (layer.row_part.max_size(), k)}
 
 
-def _build_dense_shifting(layer: _Layer, algo, A_sub, k, traffic,
-                          faults_view, slabs) -> None:
-    from ..algorithms.dense_shifting import bucket_slab
+def _build_dense_shifting(layer: _Layer, algo, A_dist, k, traffic,
+                          faults_view) -> None:
+    from ..algorithms.dense_shifting import ds_held_blocks
+    from ..dist.blocked import BlockedMatrix
 
     p_r = layer.row_part.n_parts
     c = min(algo.replication, p_r)
     n_groups = math.ceil(p_r / c)
-    groups = [
-        list(range(g * c, min((g + 1) * c, p_r))) for g in range(n_groups)
-    ]
     max_block_bytes = layer.col_part.max_size() * k * 8
 
     if c > 1:
@@ -396,30 +400,28 @@ def _build_dense_shifting(layer: _Layer, algo, A_sub, k, traffic,
             traffic.p2p_messages += 1
             traffic._recv(layer.ranks[rank], shift_bytes)
 
-    pieces = [
-        bucket_slab(slabs[r], layer.col_part, p_r, layer.B_l.shape[0])
-        for r in range(p_r)
-    ]
+    # Built once here, before the fork; workers run the simulator's
+    # kernel over views of it.
+    blocked = BlockedMatrix.build(
+        A_dist.global_matrix, layer.row_part, layer.col_part
+    )
     B_l, out = layer.B_l, layer.out
     stages: List[Dict[int, Callable]] = []
+    first, last = ds_held_blocks(p_r, c)
     for step in range(n_groups):
         stage: Dict[int, Callable] = {}
         for rank in range(p_r):
             lo, hi = layer.row_part.bounds(rank)
-            my_group = min(rank // c, n_groups - 1)
-            held = groups[(my_group + step) % n_groups]
-            step_pieces = tuple(
-                pieces[rank].by_block[b]
-                for b in held if b in pieces[rank].by_block
-            )
 
-            def fn(arena, _lo=lo, _hi=hi, _pieces=step_pieces,
-                   _zero=(step == 0)):
+            def fn(arena, _lo=lo, _hi=hi, _rank=rank,
+                   _first=int(first[step, rank]),
+                   _last=int(last[step, rank]), _zero=(step == 0)):
                 c_block = out[_lo:_hi]
                 if _zero:
                     c_block[:] = 0.0
-                for piece in _pieces:
-                    c_block += piece @ B_l
+                blocked.multiply_into(
+                    c_block, B_l, _rank, _first, _last, arena=arena
+                )
                 return None
 
             stage[layer.ranks[rank]] = _skewed(
@@ -427,6 +429,7 @@ def _build_dense_shifting(layer: _Layer, algo, A_sub, k, traffic,
             )
         stages.append(stage)
     layer.stages = stages
+    layer.arena_ceilings = {"scatter": (int(blocked.rows_rb.max()), k)}
 
 
 # ----------------------------------------------------------------------
@@ -630,16 +633,13 @@ class ShmTransport(Transport):
             elif isinstance(layer_algo, AllGather):
                 _build_allgather(layer, A_dist, k, traffic, faults_view)
             elif isinstance(layer_algo, AsyncCoarse):
-                slabs = [A_dist.slab(r) for r in range(p_r)]
                 _build_async_coarse(
                     layer, A_dist, k, machine.network, traffic,
-                    faults_view, resil, slabs,
+                    faults_view, resil,
                 )
             elif isinstance(layer_algo, DenseShifting):
-                slabs = [A_dist.slab(r) for r in range(p_r)]
                 _build_dense_shifting(
                     layer, layer_algo, A_dist, k, traffic, faults_view,
-                    slabs,
                 )
             else:
                 raise TransportError(

@@ -8,10 +8,10 @@ per-rank sparsity statistics), so the predictor can *mirror* the
 charges each algorithm makes instead of approximating them:
 
 * **AllGather / DS(c) / AsyncCoarse** — closed forms over per-rank
-  (and per-owner-block) nonzero and unique-row counts, computed with a
-  handful of ``bincount``/``unique`` passes over the layer's compacted
-  column space.  These reproduce the exact lane charges of
-  ``repro.algorithms.{allgather,dense_shifting,async_coarse}``.
+  (and per-owner-block) nonzero and nonempty-row counts: the tables of
+  the layer's :class:`~repro.dist.blocked.BlockedMatrix`, the structure
+  dense shifting itself executes from.  These reproduce the exact lane
+  charges of ``repro.algorithms.{allgather,dense_shifting,async_coarse}``.
 * **TwoFace / AsyncFine** — the plan *is* the cost structure: the
   model runs the real (cached) preprocessing on a cluster-free
   ``DistSparseMatrix`` — no memory-ledger charges, and the plan-cache
@@ -44,11 +44,19 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..algorithms.base import BASE_SETUP_SECONDS
+from ..algorithms.dense_shifting import ds_step_seconds
 from ..cluster.machine import MachineConfig
 from ..core.executor import TWOFACE_SETUP_SECONDS, async_lane_seconds
 from ..core.formats import TransferCacheStats
 from ..core.model import CostCoefficients
-from ..core.plancache import AUTO, PlanCacheLike, cached_preprocess
+from ..core.plancache import (
+    AUTO,
+    PlanCacheLike,
+    PlanCacheNamespace,
+    cached_preprocess,
+    resolve_plan_cache,
+)
+from ..dist.blocked import BlockedMatrix
 from ..dist.grid import ProcessGrid
 from ..dist.matrices import DistSparseMatrix
 from ..dist.oned import RowPartition
@@ -137,11 +145,7 @@ class _LayerStats:
     A_sub: COOMatrix
     row_part: RowPartition  # rows of A over p_r
     col_part: RowPartition  # compacted columns over p_r
-    nnz_r: np.ndarray  # nnz per rank slab
-    rows_r: np.ndarray  # nonempty output rows per rank slab
-    nnz_rb: np.ndarray  # nnz per (rank, owner block)
-    rows_rb: np.ndarray  # unique nonempty rows per (rank, block) piece
-    slab_bytes_r: np.ndarray  # COO slab bytes per rank (24 B / nnz)
+    blocked: BlockedMatrix  # nnz / nonempty rows per rank and per piece
     plans: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -172,7 +176,9 @@ class CostModel:
             so the model prices the plan the scheduler will execute.
         plan_cache: plan cache used for Two-Face/AsyncFine predictions;
             AUTO follows ``REPRO_PLAN_CACHE``.  Keys are identical to
-            the real run's, so predicted plans are warm starts.
+            the real run's, so with a disk layer predicted plans are
+            warm starts; the memory layer is left to the plans that
+            run (see :meth:`_pricing_cache`).
     """
 
     def __init__(
@@ -266,29 +272,6 @@ class CostModel:
                 )
             A_sub = column_subset(A, col_ids)
             col_part = RowPartition(len(col_ids), p_r)
-            rank_of = row_part.owners_of(A_sub.rows)
-            block_of = col_part.owners_of(A_sub.cols)
-            nnz_r = np.bincount(rank_of, minlength=p_r)
-            uniq_rows = np.unique(A_sub.rows)
-            rows_r = (
-                np.bincount(row_part.owners_of(uniq_rows), minlength=p_r)
-                if len(uniq_rows)
-                else np.zeros(p_r, dtype=np.int64)
-            )
-            key = rank_of * p_r + block_of
-            nnz_rb = np.bincount(key, minlength=p_r * p_r).reshape(
-                p_r, p_r
-            )
-            row_block = A_sub.rows * p_r + block_of
-            uniq_rb = np.unique(row_block)
-            if len(uniq_rb):
-                rb_rank = row_part.owners_of(uniq_rb // p_r)
-                rows_rb = np.bincount(
-                    rb_rank * p_r + (uniq_rb % p_r),
-                    minlength=p_r * p_r,
-                ).reshape(p_r, p_r)
-            else:
-                rows_rb = np.zeros((p_r, p_r), dtype=np.int64)
             layers.append(
                 _LayerStats(
                     ranks=grid.layer_ranks(layer),
@@ -296,11 +279,7 @@ class CostModel:
                     A_sub=A_sub,
                     row_part=row_part,
                     col_part=col_part,
-                    nnz_r=nnz_r,
-                    rows_r=rows_r,
-                    nnz_rb=nnz_rb,
-                    rows_rb=rows_rb,
-                    slab_bytes_r=nnz_rb.sum(axis=1) * 24,
+                    blocked=BlockedMatrix.build(A_sub, row_part, col_part),
                 )
             )
         return layers
@@ -371,7 +350,8 @@ class CostModel:
             [stats.row_part.size(r) * k * 8 for r in range(p_r)],
             dtype=np.int64,
         )
-        return stats.slab_bytes_r + stats.block_bytes(k) + c_bytes
+        # The COO slab is 24 B per stored nonzero.
+        return stats.blocked.nnz_r * 24 + stats.block_bytes(k) + c_bytes
 
     def _require_fits(self, extra: np.ndarray, base: np.ndarray) -> None:
         peak = base + extra
@@ -397,13 +377,9 @@ class CostModel:
         )
         gather = net.allgather_time(stats.col_part.max_size() * k * 8, p_r)
         lanes.sync_comm[ranks] += gather
-        lanes.sync_comp[ranks] += [
-            compute.sync_panel_time(
-                int(stats.nnz_r[r]), k, int(stats.rows_r[r]),
-                self.threads.total,
-            )
-            for r in range(p_r)
-        ]
+        lanes.sync_comp[ranks] += compute.sync_panel_time(
+            stats.blocked.nnz_r, k, stats.blocked.rows_r, self.threads.total
+        )
 
     def _charge_dense_shifting(
         self,
@@ -414,7 +390,6 @@ class CostModel:
         ranks: np.ndarray,
     ) -> None:
         net = self.machine.network
-        compute = self.machine.compute
         p_r = stats.p_r
         c = min(replication, p_r)
         n_groups = math.ceil(p_r / c)
@@ -426,25 +401,14 @@ class CostModel:
         )
         if c > 1:
             lanes.sync_comm[ranks] += net.allgather_time(max_block_bytes, c)
-        groups = [
-            list(range(g * c, min((g + 1) * c, p_r)))
-            for g in range(n_groups)
-        ]
         shift_cost = net.p2p_time(c * max_block_bytes)
-        comp = np.zeros(p_r)
-        for step in range(n_groups):
-            for r in range(p_r):
-                my_group = min(r // c, n_groups - 1)
-                held = groups[(my_group + step) % n_groups]
-                comp[r] = compute.sync_panel_time(
-                    int(stats.nnz_rb[r, held].sum()),
-                    k,
-                    int(stats.rows_rb[r, held].sum()),
-                    self.threads.total,
-                )
-            step_max = float(comp.max(initial=0.0))
+        step_seconds = ds_step_seconds(
+            stats.blocked.nnz_rb, stats.blocked.rows_rb, c, k,
+            self.machine.compute, self.threads.total,
+        )
+        for step, comp in enumerate(step_seconds):
             lanes.sync_comp[ranks] += comp
-            lanes.sync_comm[ranks] += step_max - comp
+            lanes.sync_comm[ranks] += float(comp.max(initial=0.0)) - comp
             if step != n_groups - 1:
                 lanes.sync_comm[ranks] += shift_cost
 
@@ -455,13 +419,14 @@ class CostModel:
         compute = self.machine.compute
         p_r = stats.p_r
         block_bytes = stats.block_bytes(k)
-        needed = stats.nnz_rb > 0
+        nnz_r, rows_r = stats.blocked.nnz_r, stats.blocked.rows_r
+        needed = stats.blocked.nnz_rb > 0
         np.fill_diagonal(needed, False)
         self._require_fits(
             needed @ block_bytes, self._base_bytes(k, stats)
         )
         for r in range(p_r):
-            if not stats.nnz_r[r]:
+            if not nnz_r[r]:
                 continue
             get_time = sum(
                 net.rget_time(int(block_bytes[b]), n_chunks=1)
@@ -470,13 +435,26 @@ class CostModel:
             node = ranks[r]
             lanes.async_comm[node] += get_time / self.threads.async_comm
             lanes.sync_comp[node] += compute.sync_panel_time(
-                int(stats.nnz_r[r]), k, int(stats.rows_r[r]),
-                self.threads.total,
+                int(nnz_r[r]), k, int(rows_r[r]), self.threads.total,
             )
 
     # ------------------------------------------------------------------
     # Plan-replay mirror of the Two-Face executor
     # ------------------------------------------------------------------
+    def _pricing_cache(self) -> Optional[PlanCacheNamespace]:
+        """``plan_cache`` as pricing uses it: a tenant of its own with
+        no memory slots.  Most candidates never run, so their plans are
+        read from and written to the shared disk layer (counted in the
+        caller's stats) but cannot push the caller's working set out of
+        its LRU."""
+        cache = resolve_plan_cache(self.plan_cache)
+        if cache is None:
+            return None
+        return PlanCacheNamespace(
+            getattr(cache, "parent", cache), "tune",
+            max_memory_entries=0, stats=cache.stats,
+        )
+
     def _charge_twoface(
         self,
         k: int,
@@ -513,7 +491,7 @@ class CostModel:
                 machine=replace(self.machine, n_nodes=p_r),
                 panel_height=threads.panel_height,
                 force_all_async=force_all_async,
-                cache=self.plan_cache,
+                cache=self._pricing_cache(),
                 classify_k=self.classify_k,
                 grid=grid if layered else None,
             )
