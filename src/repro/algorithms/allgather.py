@@ -37,7 +37,7 @@ class AllGather(DistSpMMAlgorithm):
             slab = ctx.A.slab(rank)
             done = spmm_row_panels(
                 CSRMatrix.from_coo(slab), ctx.B.data, ctx.C.block(rank),
-                arena=local_arena(),
+                arena=local_arena(), fresh=True,  # C arrives zeroed
             )
             seconds = compute.sync_panel_time(
                 slab.nnz, k, done.rows_written, ctx.threads.total

@@ -91,7 +91,7 @@ class AsyncCoarse(DistSpMMAlgorithm):
 
             done = spmm_row_panels(
                 CSRMatrix.from_coo(slab), ctx.B.data, ctx.C.block(rank),
-                arena=local_arena(),
+                arena=local_arena(), fresh=True,  # C arrives zeroed
             )
             comp_time = compute.sync_panel_time(
                 slab.nnz, k, done.rows_written, ctx.threads.total

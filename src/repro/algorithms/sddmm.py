@@ -25,7 +25,7 @@ import numpy as np
 
 from ..cluster.machine import Cluster, MachineConfig
 from ..cluster.simmpi import SimMPI, TrafficStats
-from ..core.executor import TWOFACE_SETUP_SECONDS
+from ..core.executor import TWOFACE_SETUP_SECONDS, sync_transfers
 from ..core.model import CostCoefficients
 from ..core.plan import TwoFacePlan
 from ..core.preprocess import preprocess
@@ -222,24 +222,8 @@ class TwoFaceSDDMM(_SDDMMBase):
 
         net = mpi.network
         compute = mpi.cluster.config.compute
-        geometry = plan.geometry
         # Phase 1: identical collective transfers of dense (Y) stripes.
-        for gid, dests in sorted(plan.stripe_destinations.items()):
-            receivers = [
-                d for d in dests if d != geometry.owner_of_stripe(gid)
-            ]
-            if not receivers:
-                continue
-            lo, hi = geometry.col_bounds(gid)
-            payload = Y_dist.data[lo:hi]
-            mpi.multicast(
-                geometry.owner_of_stripe(gid), payload, receivers,
-                label="dense_stripe_recv", charge_time=False,
-            )
-            cost = net.bcast_time(int(payload.nbytes), len(receivers))
-            breakdown.node(geometry.owner_of_stripe(gid)).sync_comm += cost
-            for dest in receivers:
-                breakdown.node(dest).sync_comm += cost
+        sync_transfers(plan, mpi, breakdown, k)
 
         # Phases 2+3: per-rank value computation.
         values = np.zeros(A.nnz, dtype=np.float64)

@@ -101,7 +101,7 @@ class NetworkModel:
         steps = 2 * (n_ranks - 1)
         return steps * (self.alpha_coll + self.beta_coll * nbytes / n_ranks)
 
-    def bcast_time(self, nbytes: int, n_destinations: int) -> float:
+    def bcast_time(self, nbytes, n_destinations):
         """Cost of a (multi)cast of ``nbytes`` to ``n_destinations``.
 
         Modelled as a scatter-allgather broadcast: latency grows with
@@ -110,11 +110,21 @@ class NetworkModel:
         per-participant latency term is what makes long series of
         wide multicasts expensive — the paper's observed bottleneck for
         twitter/friendster (§7.2).
+
+        The tree depth ``ceil(log2(n + 1))`` is exactly ``n``'s bit
+        length.  Both arguments may be integer arrays (one entry per
+        multicast); each element then goes through the same IEEE
+        operations, in the same order, as a scalar call.
         """
-        if n_destinations <= 0:
-            return 0.0
-        depth = math.ceil(math.log2(n_destinations + 1))
-        return depth * self.alpha_coll + 2.0 * self.beta_coll * nbytes
+        if np.ndim(n_destinations) == 0:
+            if n_destinations <= 0:
+                return 0.0
+            depth = int(n_destinations).bit_length()
+            return depth * self.alpha_coll + 2.0 * self.beta_coll * nbytes
+        # frexp's exponent of an integer n >= 1 is its bit length.
+        depth = np.frexp(n_destinations)[1]
+        cost = depth * self.alpha_coll + 2.0 * self.beta_coll * nbytes
+        return np.where(np.greater(n_destinations, 0), cost, 0.0)
 
     # ------------------------------------------------------------------
     # One-sided

@@ -295,6 +295,69 @@ class _OneSidedBatch:
 
 
 @dataclass(frozen=True)
+class _MulticastBatch:
+    """Accounting of a series of dense-stripe multicasts (the sync lane).
+
+    One record stands for ``len(nbytes)`` multicasts issued back to
+    back: multicast ``i`` sends ``nbytes[i]`` from ``roots[i]`` to
+    ``recv_ranks[recv_ptr[i]:recv_ptr[i + 1]]`` (root excluded, at
+    least one receiver).  Applying it leaves every piece of shared
+    state — receiver ledgers (including their peaks), traffic counters,
+    event log — exactly as one ``SimMPI.multicast(...,
+    charge_time=False)`` per multicast would; a receiver allocation
+    that does not fit raises the same
+    :class:`~repro.errors.OutOfMemoryError` at the same (multicast,
+    receiver), with the same prefix applied.  Clock time is charged by
+    the caller into the breakdown, not here.
+    """
+
+    roots: np.ndarray
+    nbytes: np.ndarray
+    recv_ptr: np.ndarray
+    recv_ranks: np.ndarray
+    label: str
+
+    def apply(self, mpi: "SimMPI") -> None:
+        fanout = np.diff(self.recv_ptr)
+        dests = self.recv_ranks
+        leg_bytes = np.repeat(self.nbytes, fanout)
+        ledgers = [node.memory for node in mpi.cluster.nodes]
+        room = np.array([m.capacity - m.current for m in ledgers])
+        legs = len(dests)
+        # Allocations only pile up, so the series fits iff its totals
+        # do (float64 sums, exact below 2**53 B).
+        totals = np.bincount(dests, leg_bytes, len(ledgers))
+        if np.any(totals > room):
+            left = room.tolist()
+            for leg, (dest, size) in enumerate(
+                zip(dests.tolist(), leg_bytes.tolist())
+            ):
+                left[dest] -= size
+                if left[dest] < 0:
+                    legs = leg
+                    break
+            totals = np.bincount(dests[:legs], leg_bytes[:legs], len(ledgers))
+        # A receiver's charges land as one: ``current``, the label's
+        # total and the peak end where the per-multicast sequence
+        # leaves them.
+        hit = np.bincount(dests[:legs], minlength=len(ledgers))
+        for rank in np.flatnonzero(hit).tolist():
+            ledgers[rank].allocate(self.label, int(totals[rank]))
+        whole = int(np.searchsorted(self.recv_ptr, legs, side="right")) - 1
+        mpi.traffic.count_multicast(self.nbytes[:whole], totals)
+        if mpi._record:
+            kept = min(legs, MAX_RECORDED_EVENTS - mpi._ring.count)
+            if kept:
+                mpi._ring.extend(
+                    ["multicast"], 0, np.repeat(self.roots, fanout)[:kept],
+                    dests[:kept], leg_bytes[:kept], [self.label], 0,
+                )
+            mpi._count_dropped(legs - kept)
+        if legs < len(dests):
+            ledgers[dests[legs]].allocate(self.label, int(leg_bytes[legs]))
+
+
+@dataclass(frozen=True)
 class _LedgerFree:
     """Deferred release of a named ledger allocation."""
 
@@ -386,6 +449,17 @@ class TrafficStats:
         self.collective_bytes += pushed
         self.collective_ops += n_pushed
         self._recv(rank, moved)
+
+    def count_multicast(
+        self, payloads: np.ndarray, received: np.ndarray
+    ) -> None:
+        """Count one multicast per entry of ``payloads`` (its bytes,
+        counted once, not per destination) that together delivered
+        ``received[rank]`` bytes to each rank."""
+        self.collective_bytes += int(payloads.sum())
+        self.collective_ops += len(payloads)
+        for rank in np.flatnonzero(received).tolist():
+            self._recv(rank, int(received[rank]))
 
     def add_dim_bytes(self, dim: str, nbytes: int) -> None:
         """Attribute ``nbytes`` to a grid communication dimension."""

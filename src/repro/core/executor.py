@@ -42,7 +42,7 @@ from ..cluster.faults import (
     ResilienceStats,
     resolve_onesided,
 )
-from ..cluster.simmpi import CommAccount, _OneSidedBatch
+from ..cluster.simmpi import CommAccount, _MulticastBatch, _OneSidedBatch
 from ..errors import OutOfMemoryError, PartitionError
 from ..runtime.pool import get_exec_pool
 from ..runtime.threads import max_coalescing_gap
@@ -50,12 +50,13 @@ from ..sparse.ops import (
     SCATTER_SEGMENTED,
     SCATTER_STATS,
     ScatterStats,
+    csr_product_into,
     scatter_add,
     scatter_mode,
     segmented_reduce_into,
 )
 from .formats import TRANSFER_CACHE, TransferCacheStats
-from .plan import TwoFacePlan
+from .plan import SyncProgram, TwoFacePlan
 from .sampling_mask import SampleMask
 
 #: Extra per-node setup of Two-Face (window creation, queues, metadata
@@ -69,6 +70,7 @@ def arena_ceilings(plan: TwoFacePlan, k: int) -> dict:
 
     Feed to :func:`~repro.cluster.buffers.warm_arenas` to pre-size
     every pool worker's scratch for this plan's largest async tile,
+    and for the sync product's scratch on ranks that run both lanes,
     pinning steady-state executions at zero arena growth regardless of
     how ranks land on workers.
 
@@ -84,17 +86,22 @@ def arena_ceilings(plan: TwoFacePlan, k: int) -> dict:
     max_rows = 1
     max_nnz = 1
     max_segments = 1
+    max_block = 1
     for rank_plan in plan.ranks:
         program = rank_plan.async_matrix.program()
         max_nnz = max(max_nnz, int(np.diff(program.nnz_ptr).max(initial=1)))
         for tile in program.tiles(k * 8):
             max_rows = max(max_rows, tile.rows.stop - tile.rows.start)
             max_segments = max(max_segments, tile.n_segments)
-    # The "scatter" slot holds per-chunk products on the atomic path
-    # and per-segment sums on the segmented path; cover both.
+        if program.n_stripes and rank_plan.sync_local.nnz:
+            max_block = max(max_block, program.n_rows)
+    # The "scatter" slot holds per-chunk products on the atomic path,
+    # per-segment sums on the segmented path, and the sync product of a
+    # rank block the async lane already accumulated into; cover all.
     scatter_rows = max(
         max_segments,
         min(max_nnz, max(1, _SCATTER_CHUNK_ELEMS // max(1, k))),
+        max_block,
     )
     return {
         "async_fetch": (max_rows, k),
@@ -129,6 +136,65 @@ def async_lane_seconds(
     if skew != 1.0:
         comp = comp * skew
     return float(np.cumsum(comm)[-1]), float(np.cumsum(comp)[-1])
+
+
+def sync_lane_seconds(
+    net, program: SyncProgram, k: int, faults=None
+) -> np.ndarray:
+    """Simulated ``sync_comm`` seconds per node of a plan's multicasts.
+
+    The one definition of what the sync lane charges — the executor
+    and SDDMM book it, the tuner prices candidates with it.  A
+    multicast costs its owner and each receiver ``bcast_time`` of its
+    payload and fan-out; under ``faults`` a degraded link slows its
+    receiver and the owner serves until its slowest receiver is done.
+    Each node's terms are folded left to right in issue order
+    (``cumsum``), so its total equals a Python ``+=`` loop over the
+    multicasts bit for bit — callers add it to a lane that is still
+    0.0 (the multicasts come first), which is exact.
+    """
+    seconds = np.zeros(program.n_nodes)
+    if not len(program.owners):
+        return seconds
+    fanout = program.fanout
+    cost = net.bcast_time(program.payload_bytes(k), fanout)
+    legs = np.repeat(cost, fanout)
+    if faults is not None:
+        scale = faults.link_scale(
+            np.repeat(program.owners, fanout), program.recv_ranks
+        )
+        legs = legs * scale
+        cost = cost * np.maximum.reduceat(scale, program.recv_ptr[:-1])
+    order, ptr = program.fold
+    terms = np.insert(legs, program.recv_ptr[:-1], cost)[order]
+    ptr = ptr.tolist()
+    for node, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
+        if hi > lo:
+            seconds[node] = np.cumsum(terms[lo:hi])[-1]
+    return seconds
+
+
+def sync_transfers(
+    plan: TwoFacePlan, mpi, breakdown, k: int, faults=None
+) -> None:
+    """Issue and book the plan's dense-stripe multicasts (Algorithm 1,
+    lines 5-8): one accounting record, one seconds call."""
+    program = plan.sync_program
+    issued = mpi.traffic.collective_ops
+    try:
+        _MulticastBatch(
+            program.owners, program.payload_bytes(k), program.recv_ptr,
+            program.recv_ranks, "dense_stripe_recv",
+        ).apply(mpi)
+    except OutOfMemoryError:
+        # A failed run's breakdown shows the multicasts that completed
+        # before a receiver overflowed.
+        program = program.prefix(mpi.traffic.collective_ops - issued)
+        raise
+    finally:
+        seconds = sync_lane_seconds(mpi.network, program, k, faults)
+        for node, added in zip(breakdown.nodes, seconds.tolist()):
+            node.sync_comm += added
 
 
 def accumulate_async_stripe(
@@ -244,43 +310,9 @@ def execute_plan(
         node.other += TWOFACE_SETUP_SECONDS
 
     pool = get_exec_pool()
-    _sync_transfers(plan, ctx)
+    sync_transfers(plan, ctx.mpi, ctx.breakdown, ctx.k, ctx.cluster.faults)
     _async_lane(plan, ctx, pool, mask)
     _sync_compute(plan, ctx, pool, mask)
-
-
-# ----------------------------------------------------------------------
-# Phase 1: collective transfers of dense stripes (Algorithm 1, lines 5-8)
-# ----------------------------------------------------------------------
-def _sync_transfers(plan: TwoFacePlan, ctx: RunContext) -> None:
-    net = ctx.machine.network
-    geometry = plan.geometry
-    faults = ctx.cluster.faults
-    for gid, dests in sorted(plan.stripe_destinations.items()):
-        if not dests:
-            continue
-        owner = geometry.owner_of_stripe(gid)
-        lo, hi = geometry.col_bounds(gid)
-        payload = ctx.B.data[lo:hi]
-        receivers = [d for d in dests if d != owner]
-        if not receivers:
-            continue
-        ctx.mpi.multicast(
-            owner, payload, receivers, label="dense_stripe_recv",
-            charge_time=False,
-        )
-        cost = net.bcast_time(int(payload.nbytes), len(receivers))
-        if faults is None:
-            ctx.breakdown.node(owner).sync_comm += cost
-            for dest in receivers:
-                ctx.breakdown.node(dest).sync_comm += cost
-        else:
-            # A degraded link slows its destination; the root serves
-            # until its slowest destination is done.
-            scales = [faults.link_scale(owner, d) for d in receivers]
-            ctx.breakdown.node(owner).sync_comm += cost * max(scales)
-            for dest, scale in zip(receivers, scales):
-                ctx.breakdown.node(dest).sync_comm += cost * scale
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +576,13 @@ def _sync_compute(
                     # Rewrap instead of csr.copy(): shares the cached
                     # index arrays and allocates only the masked data.
                     csr = sync_local.masked_handle(keep, stats=scatter)
-            ctx.C.block(rank)[:] += csr @ ctx.B.data
+            # ``C`` arrives zeroed and only the async lane has written
+            # to it since, so a rank without async stripes is fresh.
+            csr_product_into(
+                ctx.C.block(rank), csr, ctx.B.data,
+                fresh=not rank_plan.async_matrix.n_stripes,
+                arena=local_arena(),
+            )
         seconds = compute.sync_panel_time(
             nnz_live, k, sync_local.nonempty_rows(),
             ctx.threads.sync_comp,

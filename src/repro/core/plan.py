@@ -12,7 +12,9 @@ transfer of that stripe").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from functools import cached_property
+from itertools import chain
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -40,6 +42,96 @@ class RankPlan:
     @property
     def nnz(self) -> int:
         return self.sync_local.nnz + self.async_matrix.nnz
+
+
+@dataclass(frozen=True)
+class SyncProgram:
+    """The plan's dense-stripe multicasts as one batched program.
+
+    Derived from :attr:`TwoFacePlan.stripe_destinations` (which stays
+    the source of truth and the serialised form) and the geometry's
+    stripe table: the stripes with at least one receiver other than
+    their owner, in ascending gid — the order the sync lane issues
+    them.  Execution, accounting and pricing all read these arrays.
+
+    Attributes:
+        n_nodes: ranks of the plan.
+        owners: root rank of each multicast.
+        col_lo / col_hi: the dense rows (columns of ``A``) it carries.
+        recv_ptr / recv_ranks: receiver CSR — multicast ``i`` goes to
+            ``recv_ranks[recv_ptr[i]:recv_ptr[i + 1]]`` (owner
+            excluded, order as in ``stripe_destinations``).
+    """
+
+    n_nodes: int
+    owners: np.ndarray
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+    recv_ptr: np.ndarray
+    recv_ranks: np.ndarray
+
+    @classmethod
+    def build(
+        cls, geometry: StripeGeometry,
+        stripe_destinations: Dict[int, List[int]],
+    ) -> "SyncProgram":
+        gids = np.array(
+            sorted(g for g, d in stripe_destinations.items() if d),
+            dtype=np.int64,
+        )
+        dests = [stripe_destinations[g] for g in gids.tolist()]
+        counts = np.fromiter(map(len, dests), np.int64, len(dests))
+        ranks = np.fromiter(
+            chain.from_iterable(dests), np.int64, int(counts.sum())
+        )
+        stripe_of = np.repeat(np.arange(len(gids)), counts)
+        remote = ranks != geometry.owners_of_stripes(gids)[stripe_of]
+        fanout = np.bincount(stripe_of[remote], minlength=len(gids))
+        gids, fanout = gids[fanout > 0], fanout[fanout > 0]
+        return cls(
+            geometry.n_parts, geometry.owners_of_stripes(gids),
+            *geometry.col_bounds_of(gids),
+            np.concatenate(([0], np.cumsum(fanout))), ranks[remote],
+        )
+
+    def prefix(self, n_casts: int) -> "SyncProgram":
+        """The program of the first ``n_casts`` multicasts only (what
+        was issued when a receiver ran out of memory mid-lane)."""
+        return SyncProgram(
+            self.n_nodes, self.owners[:n_casts], self.col_lo[:n_casts],
+            self.col_hi[:n_casts], self.recv_ptr[:n_casts + 1],
+            self.recv_ranks[:self.recv_ptr[n_casts]],
+        )
+
+    @property
+    def fanout(self) -> np.ndarray:
+        """Receivers per multicast (all >= 1)."""
+        return np.diff(self.recv_ptr)
+
+    @cached_property
+    def fold(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(order, ptr)`` grouping the lane's cost terms — per
+        multicast the owner's, then one per receiver — by the node
+        that pays them, issue order kept: node ``r`` pays terms
+        ``order[ptr[r]:ptr[r + 1]]``."""
+        payers = np.insert(self.recv_ranks, self.recv_ptr[:-1], self.owners)
+        order = np.argsort(payers, kind="stable")
+        return order, np.searchsorted(
+            payers[order], np.arange(self.n_nodes + 1)
+        )
+
+    def payload_bytes(self, k: int) -> np.ndarray:
+        """Bytes each multicast carries at dense width ``k`` — the only
+        quantity of the lane that depends on the run."""
+        return (self.col_hi - self.col_lo) * (k * 8)
+
+    def received_bytes(self, k: int) -> np.ndarray:
+        """Bytes each rank receives over the whole lane at width ``k``
+        (int64; the float64 sums are exact below 2**53 B)."""
+        return np.bincount(
+            self.recv_ranks, np.repeat(self.payload_bytes(k), self.fanout),
+            self.n_nodes,
+        ).astype(np.int64)
 
 
 @dataclass
@@ -71,6 +163,12 @@ class TwoFacePlan:
     @property
     def n_nodes(self) -> int:
         return self.geometry.n_parts
+
+    @cached_property
+    def sync_program(self) -> SyncProgram:
+        """The multicast table of ``stripe_destinations``: built once,
+        derived state that is never serialised."""
+        return SyncProgram.build(self.geometry, self.stripe_destinations)
 
     @property
     def grid_spec(self):

@@ -424,23 +424,61 @@ def spmm_reference(A: COOMatrix, B: np.ndarray) -> np.ndarray:
     return C
 
 
+def csr_product_into(
+    C: np.ndarray, csr, B: np.ndarray, fresh: bool, arena=None
+) -> None:
+    """``C += csr @ B``, bit for bit scipy's, without its temporary.
+
+    Every row is summed left to right in storage order onto zero and
+    lands in ``C`` with a single accumulation.  How ``C`` is touched
+    decides the cost when the dense side dwarfs the sparse one:
+
+    * ``fresh`` — nothing has accumulated into ``C`` yet (its contents
+      are zero or to be discarded): ``C`` is zero-filled and the rows
+      are summed straight into it.  ``0.0 + x`` is exact, so the bytes
+      are those of ``C += csr @ B``; a never-touched block (``np.zeros``
+      pages) faults once per page, on a write, instead of twice (a read
+      mapping the zero page, then the copy-on-write store).
+    * otherwise the rows are summed in ``arena`` scratch and added once
+      (every row is a segment of :func:`segmented_reduce_into`; empty
+      ones add 0.0 — compressing to the nonempty rows measured 20-30 %
+      slower on the suite's slabs, where 89-100 % of rows are nonempty).
+
+    Args:
+        csr: anything with CSR ``indptr`` / ``indices`` / ``data`` over
+            ``C``'s rows (a :class:`CSRMatrix` or a scipy handle).
+        fresh: derived by the caller from who has written to ``C`` —
+            never a setting.
+    """
+    if fresh:
+        C[:] = 0.0
+        if _csr_matvecs is not None and C.flags.c_contiguous:
+            _csr_matvecs(
+                C.shape[0], B.shape[0], C.shape[1],
+                csr.indptr, csr.indices, csr.data, B, C,
+            )
+            return
+    segmented_reduce_into(
+        C, B, csr.indices, csr.data, csr.indptr, slice(None),
+        arena=arena, stats=ScatterStats(),  # a product, not a scatter
+    )
+
+
 def spmm_row_panels(
     A: CSRMatrix,
     B: np.ndarray,
     C: np.ndarray,
     panel_height: int = 32,
     arena=None,
+    fresh: bool = False,
 ) -> KernelStats:
     """Row-panel SpMM: accumulate ``A @ B`` into ``C`` (Algorithm 2).
 
     In the modelled execution each output row is assembled in a
     thread-local buffer and flushed into ``C`` with a single accumulation,
     so ``atomic_ops`` equals the number of *nonempty* output rows, not the
-    number of nonzeros.  The numerics do the same: every row is one
-    segment of :func:`segmented_reduce_into`, summed left to right in
-    storage order onto zero and added to ``C`` once (bit for bit
-    scipy's ``C += A @ B``, in arena scratch instead of a fresh
-    ``(n_rows, K)`` temporary).
+    number of nonzeros.  The numerics do the same
+    (:func:`csr_product_into`).
 
     Args:
         A: the sparse operand in CSR.
@@ -449,6 +487,8 @@ def spmm_row_panels(
         panel_height: rows per work unit; affects work division in the
             runtime model, not numerical results.
         arena: optional scratch provider for the row sums.
+        fresh: the caller allocated ``C`` and nothing has accumulated
+            into it, so it may be overwritten instead of added to.
 
     Returns:
         Operation counts for the timing model.
@@ -457,16 +497,8 @@ def spmm_row_panels(
         raise ShapeError(f"panel height must be positive: {panel_height}")
     B = np.ascontiguousarray(B, dtype=np.float64)
     _check_dims(A.shape, B, C)
-    if A.nnz == 0:
-        return KernelStats()
-    # Every row is a segment (empty ones add 0.0), so the rows land as
-    # one contiguous ``+=``.  Compressing to the nonempty rows measured
-    # 20-30 % slower on the suite's slabs, where 89-100 % of rows are
-    # nonempty.
-    segmented_reduce_into(
-        C, B, A.indices, A.data, A.indptr, slice(None),
-        arena=arena, stats=ScatterStats(),  # a product, not a scatter
-    )
+    if A.nnz or fresh:
+        csr_product_into(C, A, B, fresh, arena)
     nonempty = int(np.count_nonzero(np.diff(A.indptr)))
     return KernelStats(
         nnz_processed=A.nnz, atomic_ops=nonempty, rows_written=nonempty

@@ -221,7 +221,12 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
     from ..core.executor import accumulate_async_tile, arena_ceilings
     from ..core.plancache import cached_preprocess
     from ..errors import PartitionError
-    from ..sparse.ops import SCATTER_SEGMENTED, ScatterStats, scatter_mode
+    from ..sparse.ops import (
+        SCATTER_SEGMENTED,
+        ScatterStats,
+        csr_product_into,
+        scatter_mode,
+    )
     from ..sparse.suite import stripe_width_for
 
     p_r = layer.row_part.n_parts
@@ -254,21 +259,12 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
         "local_stripes": plan.total_local_stripes(),
     }
 
-    # Sync-lane multicasts: counter arithmetic mirrors SimMPI.multicast.
-    geometry = plan.geometry
-    for gid, dests in sorted(plan.stripe_destinations.items()):
-        if not dests:
-            continue
-        owner = geometry.owner_of_stripe(gid)
-        lo, hi = geometry.col_bounds(gid)
-        nbytes = int((hi - lo) * k * 8)
-        receivers = [d for d in dests if d != owner]
-        if not receivers:
-            continue
-        traffic.collective_bytes += nbytes
-        traffic.collective_ops += 1
-        for dest in receivers:
-            traffic._recv(layer.ranks[dest], nbytes)
+    # Sync-lane multicasts: the simulator's own counter arithmetic over
+    # the plan's multicast table, receivers remapped to global ranks.
+    program = plan.sync_program
+    received = np.zeros(traffic.n_nodes, dtype=np.int64)
+    received[layer.ranks] = program.received_bytes(k)
+    traffic.count_multicast(program.payload_bytes(k), received)
 
     B_l, out = layer.B_l, layer.out
     stage: Dict[int, Callable] = {}
@@ -290,10 +286,16 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
             sync_local.scipy_handle() if sync_local.nnz else None
         )
 
+        # With no async stripes the sync product is the block's first
+        # touch and zero-fills it itself (csr_product_into, fresh).
+        fresh = csr is not None and not program.n_stripes
+
         def fn(arena, _lo=lo, _hi=hi, _matrix=matrix, _program=program,
-               _tiles=tiles, _values=values, _csr=csr, _sleep=backoff_s):
+               _tiles=tiles, _values=values, _csr=csr, _sleep=backoff_s,
+               _fresh=fresh):
             c_block = out[_lo:_hi]
-            c_block[:] = 0.0
+            if not _fresh:
+                c_block[:] = 0.0
             if _sleep > 0.0:
                 time.sleep(_sleep)
             scatter = ScatterStats()
@@ -308,7 +310,7 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
                     segmented, arena, scatter,
                 )
             if _csr is not None:
-                c_block += _csr @ B_l
+                csr_product_into(c_block, _csr, B_l, _fresh, arena)
             return None
 
         stage[layer.ranks[rank]] = _skewed(fn, _skew_of(faults_view, rank))
@@ -365,16 +367,13 @@ def _build_block_compute(layer: _Layer, A_dist, k, faults_view,
         sleep_s = backoffs[rank] if backoffs else 0.0
 
         def fn(arena, _lo=lo, _hi=hi, _csr=csr, _sleep=sleep_s):
-            c_block = out[_lo:_hi]
-            c_block[:] = 0.0
             if _sleep > 0.0:
                 time.sleep(_sleep)
-            spmm_row_panels(_csr, B_l, c_block, arena=arena)
+            spmm_row_panels(_csr, B_l, out[_lo:_hi], arena=arena, fresh=True)
             return None
 
         stage[layer.ranks[rank]] = _skewed(fn, _skew_of(faults_view, rank))
     layer.stages = [stage]
-    layer.arena_ceilings = {"scatter": (layer.row_part.max_size(), k)}
 
 
 def _build_dense_shifting(layer: _Layer, algo, A_dist, k, traffic,

@@ -46,7 +46,11 @@ import numpy as np
 from ..algorithms.base import BASE_SETUP_SECONDS
 from ..algorithms.dense_shifting import ds_step_seconds
 from ..cluster.machine import MachineConfig
-from ..core.executor import TWOFACE_SETUP_SECONDS, async_lane_seconds
+from ..core.executor import (
+    TWOFACE_SETUP_SECONDS,
+    async_lane_seconds,
+    sync_lane_seconds,
+)
 from ..core.formats import TransferCacheStats
 from ..core.model import CostCoefficients
 from ..core.plancache import (
@@ -498,28 +502,11 @@ class CostModel:
             stats.plans[cache_key] = plan
 
         lanes.other[ranks] += TWOFACE_SETUP_SECONDS
-        geometry = plan.geometry
 
         # Phase 1: dense-stripe multicasts (sync lane, both ends).
-        recv_bytes = np.zeros(p_r, dtype=np.int64)
-        gids = sorted(plan.stripe_destinations)
-        lo, hi = geometry.col_bounds_of(gids)
-        for gid, owner, nbytes in zip(
-            gids,
-            geometry.owners_of_stripes(gids).tolist(),
-            ((hi - lo) * k * 8).tolist(),
-        ):
-            dests = plan.stripe_destinations[gid]
-            if not dests:
-                continue
-            receivers = [d for d in dests if d != owner]
-            if not receivers:
-                continue
-            cost = net.bcast_time(nbytes, len(receivers))
-            lanes.sync_comm[ranks[owner]] += cost
-            for dest in receivers:
-                lanes.sync_comm[ranks[dest]] += cost
-                recv_bytes[dest] += nbytes
+        program = plan.sync_program
+        lanes.sync_comm[ranks] += sync_lane_seconds(net, program, k)
+        recv_bytes = program.received_bytes(k)
 
         # Phases 2+3: async stripe fetch/compute (the executor's own
         # lane-seconds function over the rank program's requests) and

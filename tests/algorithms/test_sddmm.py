@@ -157,6 +157,22 @@ class TestTiming:
             sddmm_result.traffic.collective_bytes
             == spmm_result.traffic.collective_bytes
         )
+        # The shared sync lane books what SDDMM's own multicast loop did.
+        from tests.core.test_executor import loop_sync_transfers
+
+        plan = spmm.last_plan
+        want, calls = loop_sync_transfers(
+            small_machine.network, plan.geometry, plan.stripe_destinations,
+            16, 4,
+        )
+        assert calls and sddmm_result.traffic.collective_ops == len(calls)
+        assert [
+            node.sync_comm.hex() for node in sddmm_result.breakdown.nodes
+        ] == [seconds.hex() for seconds in want]
+        assert (
+            sddmm_result.traffic.per_node_recv_bytes
+            == spmm_result.traffic.per_node_recv_bytes
+        )
 
     def test_no_atomics_makes_async_compute_cheaper(
         self, small_machine, rng

@@ -48,6 +48,31 @@ class TestNetworkModel:
         delta = net.bcast_time(2000, 1) - net.bcast_time(1000, 1)
         assert delta == pytest.approx(2.0 * net.beta_coll * 1000)
 
+    def test_bcast_array_form_is_the_scalar_form(self):
+        # One entry per multicast, mixed payloads: each element must go
+        # through the scalar call's IEEE operations (bit length ==
+        # ceil(log2(n + 1)) on both sides of every power of two).
+        import math
+
+        net = NetworkModel(alpha_coll=3.7e-6, beta_coll=1.9e-8)
+        fanout = np.array([0, 1, 2, 3, 4, 31, 32, 33, 255, 256])
+        nbytes = np.array([4096, 0, 8, 123457, 1 << 20, 8 * 512 * 77,
+                           1, 65536, 3, 1 << 27])
+        costs = net.bcast_time(nbytes, fanout)
+        for cost, b, n in zip(costs.tolist(), nbytes.tolist(),
+                              fanout.tolist()):
+            assert cost.hex() == net.bcast_time(b, n).hex()
+            want = math.ceil(math.log2(n + 1)) * net.alpha_coll if n else 0.0
+            assert cost.hex() == (
+                want + 2.0 * net.beta_coll * b if n else 0.0
+            ).hex()
+        assert costs[0] == 0.0 and net.bcast_time(1000, 0) == 0.0
+        # Array payloads against one fan-out (the fault lane's call).
+        np.testing.assert_array_equal(
+            net.bcast_time(nbytes, 1),
+            [net.bcast_time(b, 1) for b in nbytes.tolist()],
+        )
+
     def test_allreduce_single_rank_free(self):
         net = NetworkModel()
         assert net.allreduce_time(1 << 20, 1) == 0.0

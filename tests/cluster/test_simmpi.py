@@ -1,9 +1,12 @@
 """Unit tests for the simulated MPI layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, MachineConfig, SimMPI
+from repro.cluster import Cluster, MachineConfig, SimMPI, simmpi
+from repro.cluster.simmpi import _MulticastBatch
 from repro.errors import CommunicationError, OutOfMemoryError
 
 
@@ -122,6 +125,99 @@ class TestMulticast:
         assert mpi.cluster.node(1).time == 0
         # Traffic is still recorded.
         assert mpi.traffic.collective_ops == 1
+
+
+def multicast_series(seed, n_nodes=5, n_casts=9):
+    """A random sync lane: per multicast a root, a payload row count
+    and 1..n-1 receivers (unsorted, root excluded)."""
+    rng = np.random.default_rng(seed)
+    roots = rng.integers(0, n_nodes, size=n_casts)
+    rows = rng.integers(1, 6, size=n_casts)
+    receivers = [
+        rng.permutation(np.setdiff1d(np.arange(n_nodes), [root]))[
+            : rng.integers(1, n_nodes)
+        ]
+        for root in roots.tolist()
+    ]
+    return roots, rows, receivers
+
+
+def replay_lane(capacity, series, batched, preexisting=0):
+    """Issue the series per multicast or as one batch; returns the
+    OOM message (or None) and every piece of shared state."""
+    mpi = SimMPI(Cluster(MachineConfig(n_nodes=5, memory_capacity=capacity)))
+    if preexisting:
+        mpi.cluster.node(2).memory.allocate("dense_stripe_recv", preexisting)
+    roots, rows, receivers = series
+    failure = None
+    try:
+        if batched:
+            _MulticastBatch(
+                roots, rows * 16,
+                np.concatenate(([0], np.cumsum([len(r) for r in receivers]))),
+                np.concatenate(receivers), "dense_stripe_recv",
+            ).apply(mpi)
+        else:
+            for root, n_rows, dests in zip(roots.tolist(), rows, receivers):
+                mpi.multicast(
+                    root, np.ones((n_rows, 2)), dests.tolist(),
+                    label="dense_stripe_recv", charge_time=False,
+                )
+    except OutOfMemoryError as oom:
+        failure = str(oom)
+    ledgers = [node.memory for node in mpi.cluster.nodes]
+    return failure, (
+        [(m.current, m.peak, m.allocations()) for m in ledgers],
+        mpi.traffic, list(mpi.events), mpi._ring._kinds, mpi._ring._details,
+        [node.time for node in mpi.cluster.nodes],
+    )
+
+
+class TestMulticastBatch:
+    """One record == the per-multicast ``SimMPI.multicast`` sequence."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("capacity", [1 << 20, 400, 150, 40])
+    @pytest.mark.parametrize("preexisting", [0, 32])
+    def test_replay_parity(self, seed, capacity, preexisting):
+        # Capacities from "everything fits" down to "the first receiver
+        # overflows": the OOM lands nowhere, mid-lane, or at leg 0.
+        series = multicast_series(seed)
+        want = replay_lane(capacity, series, False, preexisting)
+        assert replay_lane(capacity, series, True, preexisting) == want
+
+    def test_mid_batch_oom_leaves_the_same_prefix(self):
+        roots = np.array([0, 1, 0])
+        rows = np.array([2, 3, 4])  # 32, 48, 64 B
+        receivers = [np.array([1, 2]), np.array([2, 0]), np.array([3, 2])]
+        series = (roots, rows, receivers)
+        failure, state = replay_lane(100, series, True)
+        # Node 2 holds 32 + 48 B when the third payload's 64 B arrive;
+        # node 3 (same multicast, earlier leg) already has its copy.
+        assert "node 2 needs 144 B" in failure
+        assert (failure, state) == replay_lane(100, series, False)
+        ledgers, traffic = state[0], state[1]
+        assert [m[0] for m in ledgers] == [48, 32, 80, 64, 0]
+        assert (traffic.collective_ops, traffic.collective_bytes) == (2, 80)
+        assert len(state[2]) == 5
+
+    def test_event_cap_overflow(self, monkeypatch):
+        monkeypatch.setattr(simmpi, "MAX_RECORDED_EVENTS", 7)
+        series = multicast_series(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = replay_lane(1 << 20, series, False)
+        with pytest.warns(RuntimeWarning) as caught:
+            got = replay_lane(1 << 20, series, True)
+        assert len(caught) == 1
+        assert got == want and len(got[1][2]) == 7
+        assert got[1][1].events_dropped == sum(map(len, series[2])) - 7
+
+    def test_empty_lane_is_a_noop(self, mpi):
+        none = np.zeros(0, dtype=np.int64)
+        _MulticastBatch(none, none, np.zeros(1, np.int64), none, "d").apply(mpi)
+        assert mpi.traffic.collective_ops == 0 and not mpi.events
+        assert all(not n.memory.allocations() for n in mpi.cluster.nodes)
 
 
 class TestRgetRows:

@@ -436,7 +436,12 @@ class TestExecutionContracts:
         first = algo.run(kmer_like, B, machine)
         # Rank-to-worker assignment varies at pooled widths; size every
         # worker's arena for the largest tile, as the GNN engine does.
-        warm_arenas(get_exec_pool(), arena_ceilings(plan, 8))
+        ceilings = arena_ceilings(plan, 8)
+        # Every rank runs both lanes (local-input stripes are sync), so
+        # the sync product sums in scratch: a whole rank block.
+        assert all(r.sync_local.nnz for r in plan.ranks)
+        assert ceilings["scatter"][0] >= 256 // N_NODES
+        warm_arenas(get_exec_pool(), ceilings)
         for _ in range(2):
             before = transfer_cache_stats().snapshot()
             grows = arena_stats().grows

@@ -313,6 +313,37 @@ class TestRowPanelKernel:
         spmm_row_panels(csr, B, C)
         np.testing.assert_allclose(C, 1.0 + dense_oracle(fixed_coo, B))
 
+    @pytest.mark.parametrize("k", [1, 8, 512])
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_fresh_and_accumulating_bytes_are_scipys(
+        self, tiny_matrix, rng, monkeypatch, k, kernel
+    ):
+        # fresh: C's contents are discarded and the rows summed in
+        # place; otherwise scratch + one add.  Either way the bytes of
+        # scipy's ``C += A @ B`` (allclose without its C kernel).
+        from repro.cluster.buffers import FetchArena
+        from repro.sparse import ops
+
+        if not kernel:
+            monkeypatch.setattr(ops, "_csr_matvecs", None)
+        B = rng.standard_normal((64, k))
+        csr = CSRMatrix.from_coo(tiny_matrix)
+        product = csr.to_scipy() @ B
+        start = rng.standard_normal((64, k))
+        for fresh, want in ((True, 0.0 + product), (False, start + product)):
+            for arena in (None, FetchArena()):
+                C = start.copy()
+                spmm_row_panels(csr, B, C, arena=arena, fresh=fresh)
+                if kernel:
+                    assert C.tobytes() == want.tobytes()
+                else:
+                    np.testing.assert_allclose(
+                        C, want, rtol=1e-12, atol=1e-12
+                    )
+        C = start.copy()  # an empty operand still defines a fresh C
+        spmm_row_panels(CSRMatrix.empty((64, 64)), B, C, fresh=True)
+        assert not C.any()
+
     def test_stats_atomic_ops_count_nonempty_rows(self, fixed_coo, rng):
         B = rng.standard_normal((8, 2))
         csr = CSRMatrix.from_coo(fixed_coo)

@@ -77,6 +77,33 @@ class TestDecisions:
         assert decision.label == best
 
 
+    def test_candidates_priced_as_the_per_stripe_loop(
+        self, A, machine, monkeypatch
+    ):
+        # The model prices the sync lane with the executor's own
+        # seconds function; swapping in the per-stripe ``+=`` loop it
+        # replaced must not move any candidate's predicted seconds.
+        from repro.tune import model
+        from tests.core.test_executor import loop_lane_of_program
+
+        def table(decision):
+            return [
+                (c["algorithm"], c["grid"], float(c["seconds"]).hex())
+                for c in decision.candidates
+            ]
+
+        want = table(Tuner(machine).tune(A, 8))
+        calls = []
+
+        def loop(net, program, k, faults=None):
+            calls.append(len(program.owners))
+            return loop_lane_of_program(net, program, k, faults)
+
+        monkeypatch.setattr(model, "sync_lane_seconds", loop)
+        assert table(Tuner(machine).tune(A, 8)) == want
+        assert any(calls)  # Two-Face candidates with multicasts priced
+
+
 class TestDecisionCache:
     def test_second_tune_hits(self, A, machine):
         tuner = Tuner(machine)
