@@ -153,9 +153,10 @@ def column_subset(A: COOMatrix, col_ids: np.ndarray) -> COOMatrix:
         return A
     if n_sub == 0:
         return COOMatrix.empty((A.shape[0], 0))
-    pos = np.searchsorted(col_ids, A.cols)
-    clipped = np.minimum(pos, n_sub - 1)
-    sel = col_ids[clipped] == A.cols
+    lut = np.full(A.shape[1], -1, dtype=np.int64)
+    lut[col_ids] = np.arange(n_sub)
+    pos = lut[A.cols]
+    sel = pos >= 0
     return COOMatrix(
         A.rows[sel], pos[sel], A.vals[sel],
         (A.shape[0], n_sub), _validated=True,

@@ -436,7 +436,7 @@ class RankProgram:
     :class:`TransferSchedule` / :class:`ReduceSchedule` arrays are
     views into these arrays, so the serialised plan is unchanged and a
     stripe can still be inspected (or re-chunked, or failed) on its
-    own; execution, accounting and pricing read the program.
+    own; execution and accounting read the program.
 
     Attributes:
         n_rows: rows of the rank's output block.

@@ -383,8 +383,6 @@ class PlanCacheNamespace:
         tenant: namespace label (surfaced in serving telemetry).
         max_memory_entries: per-tenant LRU capacity; 0 disables the
             namespace memory layer (every hit deserialises from disk).
-        stats: counter sink; defaults to a fresh namespace-local
-            :class:`PlanCacheStats` (NOT the process-global one).
     """
 
     def __init__(
@@ -392,7 +390,6 @@ class PlanCacheNamespace:
         parent: PlanCache,
         tenant: str,
         max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        stats: Optional[PlanCacheStats] = None,
     ):
         if not isinstance(parent, PlanCache):
             raise ConfigurationError(
@@ -405,7 +402,7 @@ class PlanCacheNamespace:
         self.parent = parent
         self.tenant = tenant
         self.max_memory_entries = max_memory_entries
-        self.stats = stats if stats is not None else PlanCacheStats()
+        self.stats = PlanCacheStats()  # namespace-local, not global
         self._memory: "OrderedDict[str, TwoFacePlan]" = OrderedDict()
         self._lock = threading.Lock()
 

@@ -25,6 +25,7 @@ from ..dist.matrices import DistSparseMatrix
 from ..errors import ConfigurationError
 from ..runtime.pool import get_plan_pool
 from ..runtime.threads import max_coalescing_gap
+from ..sparse.coo import COOMatrix
 from .classifier import RankClassification, classify_rank_stripes
 from .formats import (
     build_async_stripe_matrix,
@@ -32,7 +33,7 @@ from .formats import (
 )
 from .model import CostCoefficients
 from .plan import RankPlan, TwoFacePlan
-from .stripes import StripeGeometry, compute_rank_stripe_stats
+from .stripes import RankStripeStats, StripeGeometry, compute_rank_stripe_stats
 
 #: Fraction of node memory the sync-side dense-stripe buffers may use
 #: before the memory fallback starts flipping stripes to async.
@@ -199,13 +200,8 @@ def preprocess(
     def plan_rank(rank: int) -> RankPlan:
         """Build one rank's plan; pure (reads only shared inputs)."""
         slab = A.slab(rank)
-        stats = compute_rank_stripe_stats(rank, slab, geometry)
-
-        budget = None
-        if machine is not None:
-            budget = _sync_memory_budget(machine, A, rank, score_k)
-        classification = classify_rank_stripes(
-            stats, geometry, coeffs, score_k, sync_memory_budget=budget
+        stats, classification = classify_slab(
+            rank, slab, geometry, coeffs, score_k, machine
         )
         if force_all_async:
             classification = _force_mask(stats, classification, all_async=True)
@@ -300,15 +296,25 @@ def derive_report(
     )
 
 
-def _sync_memory_budget(
-    machine: MachineConfig, A: DistSparseMatrix, rank: int, k: int
-) -> int:
-    """Bytes available for synchronously received dense stripes."""
-    slab_bytes = A.slab(rank).nbytes()
-    rows = A.partition.size(rank)
-    dense_blocks = 2 * rows * k * 8  # resident B block + C block
-    free = machine.memory_capacity - slab_bytes - dense_blocks
-    return max(0, int(free * SYNC_MEMORY_FRACTION))
+def classify_slab(
+    rank: int, slab: COOMatrix, geometry: StripeGeometry,
+    coeffs: CostCoefficients, score_k: int,
+    machine: Optional[MachineConfig] = None,
+) -> Tuple[RankStripeStats, RankClassification]:
+    """One rank's slab → stripe statistics → §4.2 classification, with
+    the §6.3 memory fallback when ``machine`` is given; forced variants
+    are applied on top by the caller.  The planner and the tuner's
+    pricing both call this, so what is priced is what is planned."""
+    stats = compute_rank_stripe_stats(rank, slab, geometry)
+    budget = None
+    if machine is not None:
+        # What the slab and the resident B and C blocks leave free.
+        dense_blocks = 2 * slab.shape[0] * score_k * 8
+        free = machine.memory_capacity - slab.nbytes() - dense_blocks
+        budget = max(0, int(free * SYNC_MEMORY_FRACTION))
+    return stats, classify_rank_stripes(
+        stats, geometry, coeffs, score_k, sync_memory_budget=budget
+    )
 
 
 def _force_mask(stats, classification: RankClassification, all_async: bool):

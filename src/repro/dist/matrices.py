@@ -124,7 +124,7 @@ class DistDenseMatrix:
         )
 
 
-def _split_rows(matrix: COOMatrix, partition: RowPartition) -> List[COOMatrix]:
+def split_rows(matrix: COOMatrix, partition: RowPartition) -> List[COOMatrix]:
     """``matrix.row_slab(*bounds)`` of every rank in one pass (storage
     order kept, rows rebased).  Non-decreasing rows are cut at the
     partition edges, ``cols`` / ``vals`` as views of the global arrays;
@@ -168,7 +168,7 @@ class DistSparseMatrix:
         _validate_populated(partition, global_matrix.shape, "sparse matrix")
         self.global_matrix = global_matrix
         self.partition = partition
-        self.slabs = _split_rows(global_matrix, partition)
+        self.slabs = split_rows(global_matrix, partition)
         if cluster is not None:
             for rank, slab in enumerate(self.slabs):
                 cluster.node(rank).memory.allocate(label, slab.nbytes())

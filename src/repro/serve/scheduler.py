@@ -135,13 +135,6 @@ class ServeReport:
     batches: List[BatchRecord] = field(default_factory=list)
     peak_queue_depth: int = 0
 
-    def outcome_for(self, request_id: int) -> ServeOutcome:
-        """The outcome of one request (KeyError if the id is unknown)."""
-        for outcome in self.outcomes:
-            if outcome.request_id == request_id:
-                return outcome
-        raise KeyError(f"no outcome for request {request_id}")
-
     def latencies(self) -> List[float]:
         """Completed requests' simulated latencies, in request order."""
         return [o.latency for o in self.outcomes if o.status == DONE]
@@ -299,7 +292,6 @@ class ServeScheduler:
                 algorithms=("TwoFace",),
                 stripe_width=self.stripe_width,
                 classify_k=pin,
-                plan_cache=self._shared_cache,
             )
             self._tuners[key] = tuner
         return tuner

@@ -709,17 +709,3 @@ def _dot_rows(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         hi = lo + chunk
         out[lo:hi] = np.einsum("ij,ij->i", lhs[lo:hi], rhs[lo:hi])
     return out
-
-
-def sddmm_values(
-    A: COOMatrix, X_rows: np.ndarray, Y_rows: np.ndarray
-) -> KernelStats:
-    """Stats helper for SDDMM kernels (one FMA chain per nonzero).
-
-    Unlike SpMM, every output value is written exactly once, so no
-    synchronised accumulations are modelled.
-    """
-    return KernelStats(
-        nnz_processed=A.nnz, atomic_ops=0,
-        rows_written=int(len(np.unique(A.rows))) if A.nnz else 0,
-    )

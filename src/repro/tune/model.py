@@ -12,13 +12,11 @@ charges each algorithm makes instead of approximating them:
   the layer's :class:`~repro.dist.blocked.BlockedMatrix`, the structure
   dense shifting itself executes from.  These reproduce the exact lane
   charges of ``repro.algorithms.{allgather,dense_shifting,async_coarse}``.
-* **TwoFace / AsyncFine** — the plan *is* the cost structure: the
-  model runs the real (cached) preprocessing on a cluster-free
-  ``DistSparseMatrix`` — no memory-ledger charges, and the plan-cache
-  key is identical to the one the eventual real run uses, so the
-  planning work is shared, not duplicated — then replays the
-  executor's per-charge arithmetic over the plan's stripe
-  destinations, transfer schedules, and sync-local panels.
+* **TwoFace / AsyncFine** — every executor charge is a sum over the
+  classification's async mask of per-stripe quantities, so each rank
+  runs the planner's own classification step (``classify_slab``) and
+  one stripe-keyed coalesce, and the executor's seconds functions
+  price the result.  No plan is built or cached.
 * **Grid layers** (depth > 1) — each layer's charges land on its
   disjoint global rank range, and the partial-``C`` reduction is
   mirrored including the barrier-wait term, which requires carrying
@@ -38,35 +36,32 @@ than silently mispredicted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..algorithms.base import BASE_SETUP_SECONDS
 from ..algorithms.dense_shifting import ds_step_seconds
 from ..cluster.machine import MachineConfig
+from ..core.classifier import RankClassification
 from ..core.executor import (
     TWOFACE_SETUP_SECONDS,
     async_lane_seconds,
     sync_lane_seconds,
 )
-from ..core.formats import TransferCacheStats
 from ..core.model import CostCoefficients
-from ..core.plancache import (
-    AUTO,
-    PlanCacheLike,
-    PlanCacheNamespace,
-    cached_preprocess,
-    resolve_plan_cache,
-)
+from ..core.plan import SyncProgram
+from ..core.preprocess import _force_mask, classify_slab
+from ..core.stripes import RankStripeStats, StripeGeometry
 from ..dist.blocked import BlockedMatrix
 from ..dist.grid import ProcessGrid
-from ..dist.matrices import DistSparseMatrix
+from ..dist.matrices import split_rows
 from ..dist.oned import RowPartition
 from ..errors import ConfigurationError, PartitionError
 from ..runtime.threads import ThreadConfig, max_coalescing_gap
 from ..sparse.coo import COOMatrix
+from ..sparse.ops import coalesce_row_id_arrays
 from ..sparse.suite import stripe_width_for
 
 #: Predicted seconds of an infeasible (simulated-OOM) candidate.
@@ -145,12 +140,11 @@ class _LayerStats:
     """
 
     ranks: List[int]  # global ranks, layer-major
-    col_ids: np.ndarray
     A_sub: COOMatrix
     row_part: RowPartition  # rows of A over p_r
     col_part: RowPartition  # compacted columns over p_r
     blocked: BlockedMatrix  # nnz / nonempty rows per rank and per piece
-    plans: Dict[str, object] = field(default_factory=dict)
+    skeleton: Optional["_Skeleton"] = None  # Two-Face pricing
 
     @property
     def p_r(self) -> int:
@@ -164,6 +158,22 @@ class _LayerStats:
         )
 
 
+class _Skeleton(NamedTuple):
+    """A layer as Two-Face pricing reads it: per rank, the planner's
+    stripe statistics and classification; per stripe (ranks end to end)
+    its rank, nonzeros, request rows and chunks and distinct
+    coordinates; per nonzero, its output row ``rank * height + row``."""
+
+    geometry: StripeGeometry
+    ranks: List[Tuple[RankStripeStats, RankClassification]]
+    stripe_rank: np.ndarray
+    nnz: np.ndarray
+    req_rows: np.ndarray
+    req_chunks: np.ndarray
+    coords: np.ndarray
+    out_rows: np.ndarray
+
+
 class CostModel:
     """Exact-mirror cost model over the registry algorithms and grids.
 
@@ -175,14 +185,9 @@ class CostModel:
             runner does).
         stripe_width: Two-Face stripe width override (default: the
             dimension-scaled rule, like the algorithms themselves).
-        classify_k: classification pin forwarded to preprocessing —
+        classify_k: classification pin, as preprocessing takes it —
             serving tunes with the fused group's canonical width here
             so the model prices the plan the scheduler will execute.
-        plan_cache: plan cache used for Two-Face/AsyncFine predictions;
-            AUTO follows ``REPRO_PLAN_CACHE``.  Keys are identical to
-            the real run's, so with a disk layer predicted plans are
-            warm starts; the memory layer is left to the plans that
-            run (see :meth:`_pricing_cache`).
     """
 
     def __init__(
@@ -192,7 +197,6 @@ class CostModel:
         threads: Optional[ThreadConfig] = None,
         stripe_width: Optional[int] = None,
         classify_k: Optional[int] = None,
-        plan_cache: PlanCacheLike = AUTO,
     ):
         if machine.faults is not None:
             raise ConfigurationError(
@@ -206,7 +210,6 @@ class CostModel:
         )
         self.stripe_width = stripe_width
         self.classify_k = classify_k
-        self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------
     # Public API
@@ -279,7 +282,6 @@ class CostModel:
             layers.append(
                 _LayerStats(
                     ranks=grid.layer_ranks(layer),
-                    col_ids=col_ids,
                     A_sub=A_sub,
                     row_part=row_part,
                     col_part=col_part,
@@ -443,21 +445,56 @@ class CostModel:
             )
 
     # ------------------------------------------------------------------
-    # Plan-replay mirror of the Two-Face executor
+    # Pricing skeleton of the Two-Face executor
     # ------------------------------------------------------------------
-    def _pricing_cache(self) -> Optional[PlanCacheNamespace]:
-        """``plan_cache`` as pricing uses it: a tenant of its own with
-        no memory slots.  Most candidates never run, so their plans are
-        read from and written to the shared disk layer (counted in the
-        caller's stats) but cannot push the caller's working set out of
-        its LRU."""
-        cache = resolve_plan_cache(self.plan_cache)
-        if cache is None:
-            return None
-        return PlanCacheNamespace(
-            getattr(cache, "parent", cache), "tune",
-            max_memory_entries=0, stats=cache.stats,
+    def _skeleton(
+        self, k: int, grid: ProcessGrid, stats: _LayerStats
+    ) -> _Skeleton:
+        """The layer's skeleton, classified as its plan is (memoised)."""
+        if stats.skeleton is not None:
+            return stats.skeleton
+        coeffs = self.coeffs
+        if grid.depth > 1:
+            coeffs = coeffs.for_group_size(stats.p_r, grid.n_nodes)
+        width = self.stripe_width or stripe_width_for(stats.row_part.n_rows)
+        geometry = StripeGeometry(*stats.A_sub.shape, stats.p_r, width)
+        score_k = k if self.classify_k is None else self.classify_k
+        slabs = split_rows(stats.A_sub, stats.row_part)
+        ranks = [
+            classify_slab(r, slab, geometry, coeffs, score_k, self.machine)
+            for r, slab in enumerate(slabs)
+        ]
+        height = stats.row_part.max_size()
+        parts = [
+            (slab.cols[rank.nnz_order], slab.rows[rank.nnz_order] + r * height)
+            for r, (slab, (rank, _)) in enumerate(zip(slabs, ranks))
+        ]
+        cols, rows = (np.concatenate(arrays) for arrays in zip(*parts))
+        nnz = np.concatenate([rank.nnz for rank, _ in ranks])
+        n = len(nnz)
+        stripe = np.repeat(np.arange(n), nnz)
+        # Column-major inside a stripe: its row ids start a column run,
+        # its coordinates (the sync CSR folds duplicates) a row run.
+        new_id = np.ones(len(cols), dtype=bool)
+        new_id[1:] = (cols[1:] != cols[:-1]) | (stripe[1:] != stripe[:-1])
+        new_coord = new_id.copy()
+        new_coord[1:] |= rows[1:] != rows[:-1]
+        # One coalesce, keyed by stripe as RankProgram.build keys it.
+        gap = max_coalescing_gap(k)
+        span = int(cols.max(initial=0)) + gap + 1
+        keyed, sizes = coalesce_row_id_arrays(
+            cols[new_id] + stripe[new_id] * span, max_gap=gap
         )
+        chunk_stripe = keyed // span
+        stats.skeleton = _Skeleton(
+            geometry, ranks,
+            np.repeat(np.arange(stats.p_r), [r.n_stripes for r, _ in ranks]),
+            nnz,
+            np.bincount(chunk_stripe, sizes, n).astype(np.int64),
+            np.bincount(chunk_stripe, minlength=n),
+            np.bincount(stripe[new_coord], minlength=n), rows,
+        )
+        return stats.skeleton
 
     def _charge_twoface(
         self,
@@ -470,73 +507,57 @@ class CostModel:
     ) -> None:
         net = self.machine.network
         compute = self.machine.compute
-        p_r = stats.p_r
         threads = self.threads
-        layered = grid.depth > 1
-        coeffs = (
-            self.coeffs.for_group_size(p_r, grid.n_nodes)
-            if layered
-            else self.coeffs
-        )
-        width = self.stripe_width or stripe_width_for(
-            stats.row_part.n_rows
-        )
-        cache_key = ("AsyncFine" if force_all_async else "TwoFace")
-        plan = stats.plans.get(cache_key)
-        if plan is None:
-            A_dist = DistSparseMatrix(
-                stats.A_sub, stats.row_part, label="A_slab"
-            )
-            plan, _ = cached_preprocess(
-                A_dist,
-                k=k,
-                stripe_width=width,
-                coeffs=coeffs,
-                machine=replace(self.machine, n_nodes=p_r),
-                panel_height=threads.panel_height,
-                force_all_async=force_all_async,
-                cache=self._pricing_cache(),
-                classify_k=self.classify_k,
-                grid=grid if layered else None,
-            )
-            stats.plans[cache_key] = plan
-
+        p_r = stats.p_r
+        skeleton = self._skeleton(k, grid, stats)
+        stripe_rank = skeleton.stripe_rank
         lanes.other[ranks] += TWOFACE_SETUP_SECONDS
+        classifications = [
+            _force_mask(rank, c, all_async=True) if force_all_async else c
+            for rank, c in skeleton.ranks
+        ]
+        is_async = np.concatenate([c.async_mask for c in classifications])
 
-        # Phase 1: dense-stripe multicasts (sync lane, both ends).
-        program = plan.sync_program
-        lanes.sync_comm[ranks] += sync_lane_seconds(net, program, k)
-        recv_bytes = program.received_bytes(k)
+        # Phase 3's sync/local-input matrices: the stripes not async.
+        keep = ~is_async
+        nnz_sync = np.bincount(stripe_rank[keep], skeleton.coords[keep], p_r)
+        touched = np.zeros((p_r, stats.row_part.max_size()), dtype=bool)
+        touched.flat[skeleton.out_rows[np.repeat(keep, skeleton.nnz)]] = True
+        nonempty = np.count_nonzero(touched, axis=1)
 
-        # Phases 2+3: async stripe fetch/compute (the executor's own
-        # lane-seconds function over the rank program's requests) and
-        # sync row panels.
-        max_gap = max_coalescing_gap(k)
-        scratch = TransferCacheStats()
+        # Phases 2+3 per rank: the async stripes' requests, rank by rank.
+        req_ptr = np.searchsorted(
+            stripe_rank[is_async], np.arange(p_r + 1)
+        ).tolist()
+        req_rows = skeleton.req_rows[is_async]
+        req_chunks = skeleton.req_chunks[is_async]
+        req_nnz = skeleton.nnz[is_async]
         peak_fetch = np.zeros(p_r, dtype=np.int64)
         for r in range(p_r):
-            rank_plan = plan.rank_plan(r)
-            program = rank_plan.async_matrix.ensure_program(
-                stats.col_part, max_gap, stats=scratch
-            )
+            lo, hi = req_ptr[r], req_ptr[r + 1]
             comm_seconds, comp_seconds = async_lane_seconds(
                 net, compute, threads.async_comp, k, k * 8,
-                program.req_rows, program.req_chunks, program.req_nnz,
+                req_rows[lo:hi], req_chunks[lo:hi], req_nnz[lo:hi],
             )
-            peak_fetch[r] = program.req_rows.max(initial=0) * k * 8
+            peak_fetch[r] = req_rows[lo:hi].max(initial=0) * k * 8
             node = ranks[r]
             lanes.async_comm[node] += comm_seconds / threads.async_comm
             lanes.async_comp[node] += comp_seconds
-            sync_local = rank_plan.sync_local
-            lanes.sync_comp[node] += (
-                compute.sync_panel_time(
-                    sync_local.nnz, k, sync_local.nonempty_rows(),
-                    threads.sync_comp,
-                )
-                + sync_local.n_panels * compute.panel_overhead
-            )
+            n_panels = -(-stats.row_part.size(r) // threads.panel_height)
+            lanes.sync_comp[node] += compute.sync_panel_time(
+                int(nnz_sync[r]), k, int(nonempty[r]), threads.sync_comp
+            ) + n_panels * compute.panel_overhead
+
+        # Phase 1: dense-stripe multicasts (sync lane, both ends), each
+        # stripe's receivers in rank order as the planner folds them.
+        destinations: Dict[int, List[int]] = {}
+        for r, c in enumerate(classifications):
+            for gid in skeleton.ranks[r][0].gids[c.sync_mask].tolist():
+                destinations.setdefault(gid, []).append(r)
+        program = SyncProgram.build(skeleton.geometry, destinations)
+        lanes.sync_comm[ranks] += sync_lane_seconds(net, program, k)
         self._require_fits(
-            recv_bytes + peak_fetch, self._base_bytes(k, stats)
+            program.received_bytes(k) + peak_fetch, self._base_bytes(k, stats)
         )
 
     # ------------------------------------------------------------------

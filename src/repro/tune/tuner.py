@@ -98,10 +98,6 @@ class DecisionCacheStats:
         }
 
 
-def _grid_as_dict(grid: ProcessGrid) -> dict:
-    return {"layout": grid.layout, "p_r": grid.p_r, "depth": grid.depth}
-
-
 def _grid_from_dict(doc: dict) -> ProcessGrid:
     return grid_from_code(
         GRID_LAYOUT_CODES[doc["layout"]], int(doc["p_r"]), int(doc["depth"])
@@ -317,9 +313,9 @@ class Tuner:
         drift_window: observations kept per algorithm for the fit.
         cache: a :class:`DecisionCache`, a directory path for a
             disk-backed one, or None for a fresh in-memory cache.
-        stripe_width / classify_k / plan_cache: forwarded to the cost
-            model and probe algorithms so predictions price exactly
-            the configuration the consumer executes.
+        stripe_width / classify_k / plan_cache: forwarded to the probe
+            algorithms, and the first two to the cost model, so
+            predictions price the configuration the consumer executes.
     """
 
     def __init__(
@@ -367,7 +363,6 @@ class Tuner:
             coeffs=self.coeffs,
             stripe_width=stripe_width,
             classify_k=classify_k,
-            plan_cache=plan_cache,
         )
         self.corrections: Dict[str, float] = {}
         self.recalibrations = 0

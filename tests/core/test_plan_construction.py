@@ -29,9 +29,9 @@ from repro.core import (
 from repro.core.model import CostCoefficients
 from repro.core.plan import RankPlan, TwoFacePlan
 from repro.core.preprocess import (
+    SYNC_MEMORY_FRACTION,
     _force_mask,
     _masked_classification,
-    _sync_memory_budget,
 )
 from repro.core.serialize import plan_digest
 from repro.core.stripes import RankStripeStats, StripeGeometry
@@ -140,7 +140,11 @@ def oracle_plan(
         stats = oracle_stats(rank, slab, geometry)
         budget = None
         if machine is not None:
-            budget = _sync_memory_budget(machine, A, rank, score_k)
+            free = (
+                machine.memory_capacity - A.slab(rank).nbytes()
+                - 2 * A.partition.size(rank) * score_k * 8
+            )
+            budget = max(0, int(free * SYNC_MEMORY_FRACTION))
         cls = classify_rank_stripes(
             stats, geometry, coeffs, score_k, sync_memory_budget=budget
         )
