@@ -105,7 +105,7 @@ leave the fields at their zero/empty defaults.
 
 Schema ``repro-perf/9`` adds the pluggable transport layer
 (:mod:`repro.transport`): ``transport`` names the data plane that
-executed the cell (``"sim"``, ``"shm"``, ``"mpi"``; empty = the
+executed the cell (``"sim"``, ``"shm"``; empty = the
 default simulator, recorded before the field existed).  The meaning of
 ``wall_seconds`` depends on it — for ``sim`` cells it is host time
 spent *running the simulator*, while for ``shm`` cells it is the
@@ -115,18 +115,18 @@ counts.  ``simulated_seconds`` is ``None`` for non-sim transports:
 real data planes measure time instead of modelling it (see
 ``docs/transports.md``).
 
-Schema ``repro-perf/10`` adds the serving resilience tier
+Schema ``repro-perf/10`` adds the serving fleet's counters
 (:mod:`repro.serve.resilience`): ``serve_availability`` is the
 completed fraction of submitted requests, ``serve_replicas`` the
 replica count behind the balancer, and the remaining new counters
-record how hard the tier worked — per-reason rejection splits
+record how hard the fleet worked — per-reason rejection splits
 (``serve_rejected_queue_full`` / ``serve_rejected_shed``), dispatch
 retries, hedged dispatches and their wins plus the duplicated seconds
 charged to losers (``serve_hedge_wasted_seconds``), injected executor
 crashes and per-attempt timeouts survived, SLO sheds and degraded
 dispatches (stale-plan / half-K-panel), circuit-breaker opens, and
-synthetic health probes run.  Single-executor serve cells leave them
-at their zero defaults, so pre-PR documents compare field-for-field.
+synthetic health probes run.  Single-executor serve cells (a plain
+:class:`~repro.serve.ServeReport`) leave them at their zero defaults.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ class PerfLog:
             grid: the run's grid cache token (e.g. ``"2d:r16x16"``;
                 empty = not recorded, 1D runs record ``"1d"``).
             transport: the data plane that executed the cell
-                (``"sim"``, ``"shm"``, ``"mpi"``; empty = default
+                (``"sim"``, ``"shm"``; empty = default
                 simulator).  Changes what ``wall_seconds`` means — see
                 the module docstring.
         """

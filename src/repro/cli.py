@@ -12,7 +12,8 @@ Commands:
   resilient lanes keep the answer exact while faults slow the clock.
 * ``serve``     — replay a synthetic multi-tenant request trace through
   the serving scheduler, fused (K-panel batching) vs serial, and check
-  the fused outputs are byte-identical.
+  the fused outputs are byte-identical; with ``--replicas`` or
+  ``--chaos-intensity``, replicated vs single-executor under chaos.
 * ``grid-sweep`` — run one (matrix, algorithm, K) cell under the 1D,
   1.5D, and 2D process-grid layouts and tabulate simulated seconds,
   total bytes moved, and per-grid-dimension traffic (the
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--size", default="small", choices=list(suite.SIZE_CLASSES)
     )
     run.add_argument(
-        "--transport", default="sim", choices=["sim", "shm", "mpi"],
+        "--transport", default="sim", choices=["sim", "shm"],
         help=(
             "data plane: 'sim' (default) charges simulated seconds; "
             "'shm' executes on real OS processes over shared memory "
@@ -223,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=1,
         help=(
             "replicated executors behind the load balancer; 1 with "
-            "--chaos-intensity 0 keeps the single-executor path "
-            "byte-identical (resilience tier: DESIGN.md §12)"
+            "--chaos-intensity 0 replays fused vs serial on the "
+            "single-executor configuration (DESIGN.md §12)"
         ),
     )
     serve.add_argument(
@@ -762,10 +763,28 @@ def _chaos_transport_check(
 
 
 def cmd_serve(args) -> int:
+    """Replay one trace two ways and byte-check the served slices.
+
+    By default the single-executor scheduler replays the trace fused
+    and serial, and every fused slice must equal its unbatched run.
+    With ``--replicas`` > 1 or ``--chaos-intensity`` > 0 the replicated
+    scheduler and a one-replica, no-retry baseline replay it under the
+    same chaos, and every completed slice must equal a fault-free fused
+    reference.  ``--require-speedup`` gates the first mode,
+    ``--require-availability`` the second.
+    """
     import time
 
     from .bench.telemetry import PerfLog
-    from .serve import DONE, ServePolicy, ServeScheduler, make_trace
+    from .cluster.faults import FaultConfig
+    from .serve import (
+        DONE,
+        ResiliencePolicy,
+        ResilientScheduler,
+        ServePolicy,
+        ServeScheduler,
+        make_trace,
+    )
 
     matrices = {
         name: suite.load(name, size=args.size) for name in args.matrices
@@ -779,142 +798,16 @@ def cmd_serve(args) -> int:
     if args.slo is not None:
         for req in trace:
             req.deadline = req.arrival + args.slo
-    if args.replicas > 1 or args.chaos_intensity > 0.0:
-        # The resilience tier; --replicas 1 --chaos-intensity 0 stays
-        # on the single-executor path below, byte for byte.
-        return _cmd_serve_resilient(args, matrices, trace)
+    resilient = args.replicas > 1 or args.chaos_intensity > 0.0
+    # Degradation/shedding changes batch composition, so the replicated
+    # runs pin classification at the trace's K to keep every completed
+    # slice byte-identical to the fault-free reference (DESIGN.md §12).
     policy = ServePolicy(
         max_fused_k=args.max_fused_k,
         max_batch_delay=args.max_batch_delay,
         max_queue_depth=args.max_queue_depth,
         auto_layout=args.auto_layout,
-    )
-    machine = MachineConfig(n_nodes=args.nodes)
-
-    reports = {}
-    walls = {}
-    tuner_stats = {}
-    for mode, fuse in (("fused", True), ("serial", False)):
-        scheduler = ServeScheduler(machine, matrices, policy=policy)
-        started = time.perf_counter()
-        reports[mode] = scheduler.serve(trace, fuse=fuse)
-        walls[mode] = time.perf_counter() - started
-        if args.auto_layout:
-            tuner_stats[mode] = scheduler.tuner_stats()
-    fused, serial = reports["fused"], reports["serial"]
-    fs, ss = fused.serving_summary(), serial.serving_summary()
-
-    mismatched = []
-    for fo, so in zip(fused.outcomes, serial.outcomes):
-        if fo.status != so.status:
-            mismatched.append(fo.request_id)
-        elif fo.status == DONE and fo.C.tobytes() != so.C.tobytes():
-            mismatched.append(fo.request_id)
-
-    rows = []
-    for metric in (
-        "completed", "rejected", "failed", "batches", "fusion_factor",
-        "p50_latency", "p99_latency", "requests_per_sec",
-        "peak_queue_depth", "deadline_misses", "makespan",
-    ):
-        rows.append([metric, fs[metric], ss[metric]])
-    print_table(
-        ["metric", "fused", "serial"],
-        rows,
-        title=(
-            f"{args.trace} trace: {args.requests} requests, K={args.k}, "
-            f"p={args.nodes}, max fused K={args.max_fused_k}"
-        ),
-    )
-    speedup = (
-        fs["requests_per_sec"] / ss["requests_per_sec"]
-        if ss["requests_per_sec"] > 0 else float("nan")
-    )
-    print(f"fused/serial requests-per-sec speedup: {speedup:.2f}x")
-    if args.auto_layout:
-        for mode, per_shape in sorted(tuner_stats.items()):
-            for shape, stats in sorted(per_shape.items()):
-                cache = stats["decision_cache"]
-                print(
-                    f"autotuner [{mode}, {shape}]: "
-                    f"{cache['hits']} cache hits, "
-                    f"{cache['misses']} misses, "
-                    f"{cache['invalidations']} invalidations, "
-                    f"{stats['recalibrations']} recalibrations"
-                )
-    if mismatched:
-        print(
-            "FAILURE: fused outputs differ from unbatched execution "
-            f"for requests {mismatched[:8]}"
-        )
-    else:
-        print("fused output slices are byte-identical to serial replay")
-
-    if args.out is not None:
-        log = PerfLog(label=f"serve-{args.trace}")
-        for mode, report in reports.items():
-            log.record_serve_cell(
-                name=f"serve-{args.trace}-{mode}",
-                matrix=",".join(sorted(matrices)),
-                algorithm=f"TwoFace/{mode}",
-                k=args.k,
-                n_nodes=args.nodes,
-                serving=report.serving_summary(),
-                wall_seconds=walls[mode],
-            )
-        log.record_experiment(
-            "speedup",
-            {"requests_per_sec": speedup, "byte_identical": not mismatched},
-        )
-        if args.auto_layout:
-            log.record_experiment("autotuner", tuner_stats)
-        log.write(args.out)
-        print(f"telemetry written to {args.out}")
-
-    if mismatched:
-        return 1
-    if args.require_speedup is not None and not (
-        speedup >= args.require_speedup
-    ):
-        print(
-            f"FAILURE: fused speedup {speedup:.2f}x below required "
-            f"{args.require_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
-def _cmd_serve_resilient(args, matrices, trace) -> int:
-    """Replicated serving under chaos: resilient vs single-executor.
-
-    Runs the trace three ways — the replicated/resilient scheduler, a
-    single-executor baseline under the *same* faults (one replica, no
-    retries/hedging), and a fault-free reference — then checks every
-    completed request's output slice byte-for-byte against the
-    reference.  ``--require-availability`` gates on the resilient
-    run's completed fraction.
-    """
-    import time
-
-    from .bench.telemetry import PerfLog
-    from .cluster.faults import FaultConfig
-    from .serve import (
-        DONE,
-        ResiliencePolicy,
-        ResilientScheduler,
-        ServePolicy,
-        ServeScheduler,
-    )
-
-    # Degradation/shedding changes batch composition, so classification
-    # is pinned at the trace's K to keep every completed slice
-    # byte-identical to the fault-free reference (DESIGN.md §8/§12).
-    policy = ServePolicy(
-        max_fused_k=args.max_fused_k,
-        max_batch_delay=args.max_batch_delay,
-        max_queue_depth=args.max_queue_depth,
-        auto_layout=args.auto_layout,
-        classify_k=args.k,
+        classify_k=args.k if resilient else None,
     )
     machine = MachineConfig(n_nodes=args.nodes)
     faults = None
@@ -925,95 +818,151 @@ def _cmd_serve_resilient(args, matrices, trace) -> int:
             executor_crash_rate=min(1.0, 0.4 * args.chaos_intensity),
         )
 
-    configs = {
-        "resilient": ResiliencePolicy(
-            n_replicas=args.replicas,
-            max_retries=args.max_retries,
-            hedge_delay=args.hedge_delay,
-            timeout=args.attempt_timeout,
-        ),
-        "single": ResiliencePolicy(n_replicas=1, max_retries=0),
-    }
-    reports = {}
-    walls = {}
-    for mode, resilience in configs.items():
-        scheduler = ResilientScheduler(
+    def scheduler(resilience):
+        if resilience is None:
+            return ServeScheduler(machine, matrices, policy=policy)
+        return ResilientScheduler(
             machine, matrices, policy=policy, resilience=resilience,
             faults=faults,
         )
-        started = time.perf_counter()
-        reports[mode] = scheduler.serve(trace, fuse=True)
-        walls[mode] = time.perf_counter() - started
 
-    reference = ServeScheduler(machine, matrices, policy=policy)
-    ref_report = reference.serve(trace, fuse=True)
-    ref_bytes = {
-        o.request_id: o.C.tobytes()
-        for o in ref_report.outcomes if o.status == DONE
-    }
-    mismatched = []
-    for mode, report in reports.items():
-        for o in report.outcomes:
-            if o.status == DONE and (
-                o.C.tobytes() != ref_bytes.get(o.request_id)
-            ):
-                mismatched.append((mode, o.request_id))
-
-    res, single = reports["resilient"], reports["single"]
-    rs, ss = res.serving_summary(), single.serving_summary()
-    rows = []
-    for metric in (
-        "completed", "rejected", "rejected_queue_full", "rejected_shed",
-        "failed", "availability", "batches", "retries", "hedges",
-        "hedge_wins", "hedge_wasted_seconds", "crashes", "timeouts",
-        "shed", "degraded", "breaker_opens", "probes", "p50_latency",
-        "p99_latency", "requests_per_sec", "deadline_misses",
-        "makespan",
-    ):
-        rows.append([metric, rs[metric], ss[metric]])
-    print_table(
-        ["metric", "resilient", "single"],
-        rows,
-        title=(
-            f"{args.trace} trace: {len(trace)} requests, K={args.k}, "
-            f"p={args.nodes}, replicas={args.replicas}, "
-            f"chaos={args.chaos_intensity:g}, seed={args.fault_seed}"
-        ),
-    )
-    replica_rows = [
-        [
-            rid,
-            info["dispatches"], info["successes"], info["failures"],
-            info["crashes"], info["timeouts"], info["state"],
-            info["opens"], f"{info['busy_seconds']:.4f}",
+    # (label, fleet policy or None for the single executor, fuse)
+    if resilient:
+        runs = [
+            ("resilient", ResiliencePolicy(
+                n_replicas=args.replicas,
+                max_retries=args.max_retries,
+                hedge_delay=args.hedge_delay,
+                timeout=args.attempt_timeout,
+            ), True),
+            ("single", ResiliencePolicy(n_replicas=1, max_retries=0), True),
         ]
-        for rid, info in sorted(res.replica_stats.items())
-    ]
-    print_table(
-        [
-            "replica", "dispatches", "ok", "failed", "crashes",
-            "timeouts", "breaker", "opens", "busy s",
-        ],
-        replica_rows,
-        title="resilient replica set",
-    )
-    print(
-        f"availability: resilient {rs['availability']:.4f}, "
-        f"single-executor {ss['availability']:.4f}"
-    )
-    if mismatched:
-        print(
-            "FAILURE: completed outputs diverge from the fault-free "
-            f"reference for {mismatched[:8]}"
+        metrics = (
+            "completed", "rejected", "rejected_queue_full",
+            "rejected_shed", "failed", "availability", "batches",
+            "retries", "hedges", "hedge_wins", "hedge_wasted_seconds",
+            "crashes", "timeouts", "shed", "degraded", "breaker_opens",
+            "probes", "p50_latency", "p99_latency", "requests_per_sec",
+            "deadline_misses", "makespan",
+        )
+        setting = (
+            f"replicas={args.replicas}, chaos={args.chaos_intensity:g}, "
+            f"seed={args.fault_seed}"
         )
     else:
-        print(
-            "completed output slices are byte-identical to the "
-            "fault-free reference"
+        runs = [("fused", None, True), ("serial", None, False)]
+        metrics = (
+            "completed", "rejected", "failed", "batches", "fusion_factor",
+            "p50_latency", "p99_latency", "requests_per_sec",
+            "peak_queue_depth", "deadline_misses", "makespan",
         )
+        setting = f"max fused K={args.max_fused_k}"
+    reports = {}
+    walls = {}
+    tuner_stats = {}
+    for mode, resilience, fuse in runs:
+        served_by = scheduler(resilience)
+        started = time.perf_counter()
+        reports[mode] = served_by.serve(trace, fuse=fuse)
+        walls[mode] = time.perf_counter() - started
+        if args.auto_layout:
+            tuner_stats[mode] = served_by.tuner_stats()
+    modes = list(reports)
+    summaries = [reports[mode].serving_summary() for mode in modes]
+
+    # The byte check: fused slices (and statuses) against the serial
+    # replay, or every completed slice against a fault-free reference.
+    if resilient:
+        reference, checked = scheduler(None).serve(trace), modes
+    else:
+        reference, checked = reports["serial"], ["fused"]
+    mismatched = []
+    for mode in checked:
+        for o, ref in zip(reports[mode].outcomes, reference.outcomes):
+            if (not resilient and o.status != ref.status) or (
+                o.status == DONE and (
+                    ref.status != DONE
+                    or o.C.tobytes() != ref.C.tobytes()
+                )
+            ):
+                mismatched.append(
+                    (mode, o.request_id) if resilient else o.request_id
+                )
+
+    print_table(
+        ["metric", *modes],
+        [[m] + [s[m] for s in summaries] for m in metrics],
+        title=(
+            f"{args.trace} trace: {len(trace)} requests, K={args.k}, "
+            f"p={args.nodes}, {setting}"
+        ),
+    )
+    if resilient:
+        print_table(
+            [
+                "replica", "dispatches", "ok", "failed", "crashes",
+                "timeouts", "breaker", "opens", "busy s",
+            ],
+            [
+                [
+                    rid,
+                    info["dispatches"], info["successes"],
+                    info["failures"], info["crashes"], info["timeouts"],
+                    info["state"], info["opens"],
+                    f"{info['busy_seconds']:.4f}",
+                ]
+                for rid, info in sorted(
+                    reports["resilient"].replica_stats.items()
+                )
+            ],
+            title="resilient replica set",
+        )
+        availability = [s["availability"] for s in summaries]
+        print(
+            f"availability: resilient {availability[0]:.4f}, "
+            f"single-executor {availability[1]:.4f}"
+        )
+        experiment = {
+            "chaos_intensity": args.chaos_intensity,
+            "replicas": args.replicas,
+            "availability": availability[0],
+            "single_availability": availability[1],
+            "byte_identical": not mismatched,
+        }
+        verdict = (
+            "completed output slices are byte-identical to the "
+            "fault-free reference",
+            "FAILURE: completed outputs diverge from the fault-free "
+            "reference for {}",
+        )
+    else:
+        rps = [s["requests_per_sec"] for s in summaries]
+        speedup = rps[0] / rps[1] if rps[1] > 0 else float("nan")
+        print(f"fused/serial requests-per-sec speedup: {speedup:.2f}x")
+        experiment = {
+            "requests_per_sec": speedup, "byte_identical": not mismatched,
+        }
+        verdict = (
+            "fused output slices are byte-identical to serial replay",
+            "FAILURE: fused outputs differ from unbatched execution "
+            "for requests {}",
+        )
+    for mode, per_shape in sorted(tuner_stats.items()):
+        for shape, stats in sorted(per_shape.items()):
+            cache = stats["decision_cache"]
+            print(
+                f"autotuner [{mode}, {shape}]: "
+                f"{cache['hits']} cache hits, "
+                f"{cache['misses']} misses, "
+                f"{cache['invalidations']} invalidations, "
+                f"{stats['recalibrations']} recalibrations"
+            )
+    print(verdict[1].format(mismatched[:8]) if mismatched else verdict[0])
 
     if args.out is not None:
-        log = PerfLog(label=f"serve-resilient-{args.trace}")
+        log = PerfLog(
+            label=f"serve-{'resilient-' if resilient else ''}{args.trace}"
+        )
         for mode, report in reports.items():
             log.record_serve_cell(
                 name=f"serve-{args.trace}-{mode}",
@@ -1025,26 +974,29 @@ def _cmd_serve_resilient(args, matrices, trace) -> int:
                 wall_seconds=walls[mode],
             )
         log.record_experiment(
-            "resilience",
-            {
-                "chaos_intensity": args.chaos_intensity,
-                "replicas": args.replicas,
-                "availability": rs["availability"],
-                "single_availability": ss["availability"],
-                "byte_identical": not mismatched,
-            },
+            "resilience" if resilient else "speedup", experiment
         )
+        if tuner_stats:
+            log.record_experiment("autotuner", tuner_stats)
         log.write(args.out)
         print(f"telemetry written to {args.out}")
 
     if mismatched:
         return 1
-    if args.require_availability is not None and not (
-        rs["availability"] >= args.require_availability
+    if resilient and args.require_availability is not None and not (
+        availability[0] >= args.require_availability
     ):
         print(
-            f"FAILURE: availability {rs['availability']:.4f} below "
+            f"FAILURE: availability {availability[0]:.4f} below "
             f"required {args.require_availability:.4f}"
+        )
+        return 1
+    if not resilient and args.require_speedup is not None and not (
+        speedup >= args.require_speedup
+    ):
+        print(
+            f"FAILURE: fused speedup {speedup:.2f}x below required "
+            f"{args.require_speedup:.2f}x"
         )
         return 1
     return 0

@@ -57,9 +57,10 @@ class ExecutorCrashError(ReproError, RuntimeError):
     """An injected ``executor_crash`` fault killed a simulated executor
     mid-batch.
 
-    The whole in-flight request group is lost; the serving resilience
-    tier (:mod:`repro.serve.resilience`) catches this and retries the
-    group on another replica.  Deterministic: whether a given dispatch
+    The whole in-flight request group is lost; the serving loop
+    (:mod:`repro.serve.scheduler`) catches this and, when its policy
+    allows retries, retries the group on another replica.
+    Deterministic: whether a given dispatch
     crashes is a pure function of the fault seed and the dispatch's
     ``crash_epoch`` (see :class:`repro.cluster.faults.FaultConfig`).
     """

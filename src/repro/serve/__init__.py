@@ -8,30 +8,38 @@ wide K-panel SpMM, and every request gets back its own output slice —
 byte-identical to what an unbatched run would have produced (the
 classification-pin argument of DESIGN.md §8).
 
-Entry points: :class:`ServeScheduler` (the deterministic virtual-clock
-event loop), :class:`ServePolicy` (fusion/backpressure knobs),
-:mod:`repro.serve.traces` (seeded synthetic traces), and the
-``repro serve --trace`` CLI for fused-vs-serial replays.
+One deterministic virtual-clock event loop does all of it
+(:mod:`repro.serve.scheduler`), dispatching onto a replica fleet
+(:mod:`repro.serve.resilience`).  :class:`ServeScheduler` is its
+single-executor configuration (:data:`SINGLE_EXECUTOR`) and
+:class:`ResilientScheduler` its replicated one, with retries, hedging,
+circuit breakers and SLO-aware admission set by a
+:class:`ResiliencePolicy`.  :class:`ServePolicy` holds the
+fusion/backpressure knobs, :mod:`repro.serve.traces` the seeded
+synthetic traces, and ``repro serve --trace`` replays them from the
+CLI.
 """
 
 from .request import (
     DONE,
     FAILED,
     REJECTED,
+    BatchRecord,
     RejectReason,
     ServeOutcome,
+    ServeReport,
     ServeRequest,
 )
 from .resilience import (
+    SINGLE_EXECUTOR,
     CircuitBreaker,
     LoadBalancer,
     Replica,
     ReplicaSet,
     ResilienceReport,
     ResiliencePolicy,
-    ResilientScheduler,
 )
-from .scheduler import BatchRecord, ServePolicy, ServeReport, ServeScheduler
+from .scheduler import ResilientScheduler, ServePolicy, ServeScheduler
 from .traces import (
     DEFAULT_TENANTS,
     TRACE_KINDS,
@@ -55,6 +63,7 @@ __all__ = [
     "ResiliencePolicy",
     "ResilienceReport",
     "ResilientScheduler",
+    "SINGLE_EXECUTOR",
     "ServeOutcome",
     "ServePolicy",
     "ServeReport",

@@ -5,7 +5,8 @@ preprocessed) sparse matrix against a private dense block of width K,
 arriving at a simulated instant and optionally carrying a completion
 deadline.  A :class:`ServeOutcome` is what the scheduler hands back —
 the request's slice of the (possibly fused) output panel plus the
-simulated timing that produced it.
+simulated timing that produced it.  A :class:`ServeReport` collects
+one replay's outcomes and :class:`BatchRecord`\\ s.
 
 Everything here is plain data; the event loop lives in
 :mod:`repro.serve.scheduler`.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class RejectReason(str, enum.Enum):
     Attributes:
         QUEUE_FULL: backpressure — the global queue was at
             ``max_queue_depth`` when the request arrived.
-        SHED: SLO-aware load shedding — the resilience tier dropped it
-            as the lowest-priority queued work under pressure.
+        SHED: SLO-aware load shedding — the scheduler dropped it as
+            the lowest-priority queued work under pressure.
     """
 
     QUEUE_FULL = "queue_full"
@@ -61,10 +62,9 @@ class ServeRequest:
         machine: optional per-request machine config; None uses the
             scheduler's.  Requests only fuse with requests on the same
             (matrix content, machine) group.
-        priority: SLO class, >= 0; higher is more important.  The
-            baseline scheduler ignores it (pure FIFO); the resilience
-            tier sheds lowest-priority queued work first under
-            pressure.
+        priority: SLO class, >= 0; higher is more important.  Under
+            shed pressure the scheduler drops lowest-priority queued
+            work first; dispatch order ignores it (pure FIFO).
     """
 
     request_id: int
@@ -114,20 +114,24 @@ class ServeOutcome:
         fused_k: total dense width of that dispatch (equals the
             request's own K when it ran unbatched).
         dispatched: simulated dispatch instant (None when rejected).
-        completion: simulated completion instant (arrival for rejects).
+        completion: simulated completion instant (arrival for rejects,
+            so ``completion - latency`` is always the arrival).
         latency: ``completion - arrival`` (0.0 for rejects).
         deadline_missed: True when a deadline existed and completion
             overran it.
         reject_reason: structured :class:`RejectReason` (None unless
             rejected).
-        replica: id of the replica that produced the result (None on
-            the single-executor path).
-        attempts: dispatch attempts the resilience tier spent on the
-            request's group (0 on the single-executor path).
+        replica: id of the replica that produced the result (None
+            unless done; 0 on the single-executor configuration, which
+            is a one-replica fleet — before the two serving loops were
+            merged it read None there).
+        attempts: dispatch attempts spent on the request's batch (1 on
+            the single-executor configuration, which has no retries —
+            it read 0 before the loops were merged).
         hedged: True when a hedged backup dispatch was issued for the
             request's group.
-        degraded: degradation mode applied by the resilience tier
-            (e.g. ``"k_panel"``), or None.
+        degraded: degradation mode applied under queue pressure (e.g.
+            ``"k_panel"``), or None.
         C: the request's own output slice ``A @ B`` (None unless done).
     """
 
@@ -147,3 +151,100 @@ class ServeOutcome:
     hedged: bool = False
     degraded: Optional[str] = None
     C: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @classmethod
+    def rejected(cls, request: ServeRequest,
+                 reason: RejectReason) -> "ServeOutcome":
+        """A rejection of ``request``, stamped at its arrival."""
+        return cls(
+            request_id=request.request_id,
+            tenant=request.tenant,
+            matrix=request.matrix,
+            status=REJECTED,
+            completion=request.arrival,
+            reject_reason=reason,
+        )
+
+
+@dataclass
+class BatchRecord:
+    """One fused dispatch: which requests ran together, and when.
+
+    ``seconds`` runs from the dispatch instant to the winning attempt's
+    completion (0.0 when every attempt failed).
+    """
+
+    batch_id: int
+    matrix: str
+    tenants: Tuple[str, ...]
+    dispatched: float
+    fused_k: int
+    n_requests: int
+    seconds: float
+
+
+@dataclass
+class ServeReport:
+    """Everything a trace replay produced.
+
+    ``outcomes`` is ordered by request id, so two replays of one trace
+    (fused vs serial, different worker widths) compare positionally.
+    """
+
+    fused: bool
+    outcomes: List[ServeOutcome] = field(default_factory=list)
+    batches: List[BatchRecord] = field(default_factory=list)
+    peak_queue_depth: int = 0
+
+    def latencies(self) -> List[float]:
+        """Completed requests' simulated latencies, in request order."""
+        return [o.latency for o in self.outcomes if o.status == DONE]
+
+    def serving_summary(self) -> Dict[str, float]:
+        """The telemetry dict consumed by ``PerfLog.record_serve_cell``.
+
+        ``requests_per_sec`` and ``makespan`` are simulated-time
+        quantities: completed requests over the span from first arrival
+        to last completion.
+        """
+        from ..bench.telemetry import latency_summary
+
+        done = [o for o in self.outcomes if o.status == DONE]
+        failed = [o for o in self.outcomes if o.status == FAILED]
+        rejected = [o for o in self.outcomes if o.status == REJECTED]
+        summary = latency_summary([o.latency for o in done])
+        if done:
+            first_arrival = min(
+                o.completion - o.latency for o in self.outcomes
+            )
+            makespan = max(o.completion for o in done) - first_arrival
+        else:
+            makespan = 0.0
+        span = max(makespan, 1e-12)
+        return {
+            "requests": len(self.outcomes),
+            "completed": len(done),
+            "rejected": len(rejected),
+            "rejected_queue_full": sum(
+                1 for o in rejected
+                if o.reject_reason is RejectReason.QUEUE_FULL
+            ),
+            "rejected_shed": sum(
+                1 for o in rejected
+                if o.reject_reason is RejectReason.SHED
+            ),
+            "failed": len(failed),
+            "batches": len(self.batches),
+            "fusion_factor": (
+                len(done) / len(self.batches) if self.batches else 0.0
+            ),
+            "p50_latency": summary["p50"],
+            "p95_latency": summary["p95"],
+            "p99_latency": summary["p99"],
+            "requests_per_sec": len(done) / span if done else 0.0,
+            "peak_queue_depth": self.peak_queue_depth,
+            "deadline_misses": sum(
+                1 for o in self.outcomes if o.deadline_missed
+            ),
+            "makespan": makespan,
+        }

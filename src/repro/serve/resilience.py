@@ -1,9 +1,11 @@
-"""Fault-tolerant replicated serving on the virtual clock.
+"""The replica fleet the serving event loop dispatches onto.
 
-The single-executor :class:`~repro.serve.scheduler.ServeScheduler` has
-no failure semantics: one crashed batch or one degraded link takes the
-whole tenant down.  This module layers a resilience tier on top of it
-(DESIGN.md §12):
+:class:`~repro.serve.scheduler.ServeScheduler` runs the one serving
+event loop (DESIGN.md §8).  Every dispatch consults the objects defined
+here; a :class:`ResiliencePolicy` value configures them, and the plain
+single-executor scheduler is the value :data:`SINGLE_EXECUTOR` (one
+replica, no retries, no hedge, no timeout, shed and degrade
+unreachable).  DESIGN.md §12 specifies the replicated configurations:
 
 * A :class:`ReplicaSet` runs N independent simulated executors.  Each
   replica gets its own seeded :class:`~repro.cluster.faults.FaultPlan`
@@ -16,7 +18,7 @@ whole tenant down.  This module layers a resilience tier on top of it
   latency EWMA scaled by a health factor fed by periodic synthetic
   probes (cadence ``probe_interval``) that measure the replica's
   static fault profile (compute skew × worst incoming link).
-* Request execution gains per-attempt *timeouts* (a dispatch whose
+* Request execution has per-attempt *timeouts* (a dispatch whose
   simulated service time exceeds ``timeout`` charges exactly
   ``timeout`` seconds and its result is discarded), bounded
   *retry-with-exponential-backoff* across replicas, and optional
@@ -35,6 +37,8 @@ whole tenant down.  This module layers a resilience tier on top of it
   drops the lowest-priority queued work
   (:class:`~repro.serve.request.RejectReason.SHED`) instead of
   rejecting new arrivals outright.
+* A :class:`ResilienceReport` carries the fleet's counters and routing
+  trace.
 
 Determinism contract: every decision — routing order, retry schedule,
 breaker transitions, shed victims — is a pure function of the virtual
@@ -55,43 +59,24 @@ replica ``r`` crashes is a fixed function of ``(seed + r, n)``.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..cluster.faults import FaultConfig, compile_faults, resilience_stats
+from ..cluster.faults import FaultConfig, compile_faults
 from ..cluster.machine import MachineConfig
-from ..core.model import CostCoefficients
-from ..core.plancache import AUTO, PlanCacheLike
-from ..errors import ConfigurationError, ExecutorCrashError, ReproError
-from ..gnn.engine import DistSpMMEngine
-from ..sparse.coo import COOMatrix
-from .request import (
-    DONE,
-    FAILED,
-    REJECTED,
-    RejectReason,
-    ServeOutcome,
-    ServeRequest,
-)
-from .scheduler import BatchRecord, ServePolicy, ServeReport, ServeScheduler
+from ..errors import ConfigurationError
+from .request import DONE, ServeReport
 
 #: Circuit-breaker states.
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-#: Attempt outcome kinds (routing-trace vocabulary).
-OK = "ok"
-CRASH = "crash"
-TIMEOUT = "timeout"
-ERROR = "error"
-
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Knobs of the resilience tier (all times are simulated seconds).
+    """Knobs of the serving fleet (all times are simulated seconds).
 
     Attributes:
         n_replicas: independent simulated executors behind the balancer.
@@ -120,10 +105,13 @@ class ResiliencePolicy:
             EWMA exceeds this multiple of the fleet EWMA (the p99-drift
             analogue on smoothed service time).
         degrade_queue_fraction: queue pressure (fraction of
-            ``max_queue_depth``) above which dispatches degrade
+            ``max_queue_depth``) at which dispatches degrade
             (stale-plan width preference, then K-panel halving).
+            Pressure never exceeds 1, so any larger value (``inf``)
+            never degrades.
         shed_queue_fraction: pressure above which the lowest-priority
-            queued requests are shed.
+            queued requests are shed; at 1 admission's queue bound is
+            reached first, so nothing is shed.
         protect_priority: requests with ``priority >= protect_priority``
             are never shed.
     """
@@ -190,9 +178,9 @@ class ResiliencePolicy:
                 "breaker_drift_factor must be >= 1: "
                 f"{self.breaker_drift_factor}"
             )
-        if not 0.0 < self.degrade_queue_fraction <= 1.0:
+        if not self.degrade_queue_fraction > 0.0:
             raise ConfigurationError(
-                "degrade_queue_fraction must be in (0, 1]: "
+                "degrade_queue_fraction must be positive: "
                 f"{self.degrade_queue_fraction}"
             )
         if not 0.0 < self.shed_queue_fraction <= 1.0:
@@ -204,6 +192,21 @@ class ResiliencePolicy:
             raise ConfigurationError(
                 f"protect_priority must be >= 0: {self.protect_priority}"
             )
+
+
+#: The plain single-executor configuration of the serving loop: one
+#: replica that is never retried, hedged, timed out, degraded or shed,
+#: whose failed dispatches (crashes included) charge no time, and which
+#: runs no periodic health probes (a lone replica has no one to be
+#: ranked against).
+SINGLE_EXECUTOR = ResiliencePolicy(
+    n_replicas=1,
+    max_retries=0,
+    crash_detect_seconds=0.0,
+    probe_interval=math.inf,
+    degrade_queue_fraction=math.inf,
+    shed_queue_fraction=1.0,
+)
 
 
 class CircuitBreaker:
@@ -296,10 +299,12 @@ class ReplicaStats:
 class Replica:
     """One simulated service executor behind the balancer.
 
-    Owns its machine (per-replica fault seed), its engines (one per
-    request group), its virtual ``free_at`` clock, its breaker, and
-    its health/latency EWMAs.  The plan-cache namespace is applied at
-    dispatch time by labelling the tenant ``replica<rid>/<tenant>``.
+    Owns its machine (per-replica fault seed), its virtual ``free_at``
+    clock, its breaker, and its health/latency EWMAs; its engines (one
+    per request group) are held by the scheduler, so they outlive one
+    replay's fleet.  The plan-cache namespace is applied at
+    dispatch time by labelling the tenant ``replica<rid>/<tenant>``
+    (the bare tenant on a one-replica fleet).
     """
 
     def __init__(self, rid: int, machine: MachineConfig,
@@ -310,7 +315,6 @@ class Replica:
         self.machine = replace(machine, faults=fault_config)
         self.grid = grid
         self.breaker = breaker
-        self.engines: Dict[Tuple, DistSpMMEngine] = {}
         self.free_at = 0.0
         self.latency_ewma: Optional[float] = None
         self.health: float = 1.0
@@ -335,13 +339,21 @@ class Replica:
                 for r in range(machine.n_nodes)
             )
 
-    def machine_for_epoch(self, epoch: int) -> MachineConfig:
-        """The dispatch machine with a fresh crash epoch threaded in."""
-        if self.fault_config is None:
+    def machine_for(self, machine: Optional[MachineConfig]) -> MachineConfig:
+        """A request's own ``machine`` (None: the replica's) under this
+        replica's faults."""
+        if machine is None:
             return self.machine
+        return replace(machine, faults=self.fault_config)
+
+    def machine_for_epoch(self, machine: MachineConfig,
+                          epoch: int) -> MachineConfig:
+        """``machine`` with a fresh crash epoch threaded into this
+        replica's faults."""
+        if self.fault_config is None:
+            return machine
         return replace(
-            self.machine, faults=replace(self.fault_config,
-                                         crash_epoch=epoch)
+            machine, faults=replace(self.fault_config, crash_epoch=epoch)
         )
 
     def observe_latency(self, sample: float, alpha: float) -> None:
@@ -476,8 +488,12 @@ class LoadBalancer:
 
 @dataclass
 class ResilienceReport(ServeReport):
-    """A :class:`~repro.serve.scheduler.ServeReport` plus the
-    resilience tier's counters and the deterministic routing trace."""
+    """A :class:`~repro.serve.request.ServeReport` plus the fleet's
+    counters and the deterministic routing trace.
+
+    The serving loop always counts into one; the plain single-executor
+    scheduler hands back only its :class:`ServeReport` part.
+    """
 
     retries: int = 0
     hedges: int = 0
@@ -541,454 +557,3 @@ class ResilienceReport(ServeReport):
             "breaker_opens": self.breaker_opens,
         })
         return summary
-
-
-class ResilientScheduler:
-    """The fault-tolerant serving tier: N replicas, one event loop.
-
-    Drop-in analogue of :class:`~repro.serve.scheduler.ServeScheduler`
-    — same trace in, a :class:`ResilienceReport` out — but dispatches
-    route through the :class:`LoadBalancer` onto a :class:`ReplicaSet`
-    with timeouts, retries, hedging, circuit breakers, and SLO-aware
-    admission.  Group keys (and any autotuned layouts) come from a
-    fault-free *router* scheduler, so grouping and classification pins
-    are identical to the single-executor path.
-
-    Args:
-        machine: base cluster every replica clones (fault seeds vary).
-        matrices: suite name -> loaded matrix.
-        policy: admission/fusion policy (shared with the router).
-        resilience: the resilience knobs (:class:`ResiliencePolicy`).
-        faults: fault config injected into the replicas; None serves
-            fault-free (the resilience machinery still routes).
-            Replica ``rid`` runs under ``seed + rid``.
-        stripe_width / coeffs / plan_cache: forwarded to engines; the
-            shared persistent cache is namespaced per replica *and*
-            tenant (``replica<rid>/<tenant>``).
-        grids: optional per-replica process grids (length
-            ``n_replicas``).
-    """
-
-    def __init__(
-        self,
-        machine: MachineConfig,
-        matrices: Dict[str, COOMatrix],
-        policy: Optional[ServePolicy] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        faults: Optional[FaultConfig] = None,
-        stripe_width: Optional[int] = None,
-        coeffs: Optional[CostCoefficients] = None,
-        plan_cache: PlanCacheLike = AUTO,
-        grids: Optional[Sequence] = None,
-    ):
-        self.policy = policy if policy is not None else ServePolicy()
-        self.resilience = (
-            resilience if resilience is not None else ResiliencePolicy()
-        )
-        if faults is None:
-            faults = machine.faults
-        self.faults = faults
-        self.stripe_width = stripe_width
-        self.coeffs = coeffs
-        # The router owns group keys, tuned grids, and the shared plan
-        # cache; it never executes (its machine is fault-free).
-        self._router = ServeScheduler(
-            replace(machine, faults=None), matrices, policy=self.policy,
-            stripe_width=stripe_width, coeffs=coeffs,
-            plan_cache=plan_cache,
-        )
-        self.replicas = ReplicaSet(
-            replace(machine, faults=None), self.resilience.n_replicas,
-            faults, self.resilience, grids=grids,
-        )
-        self.balancer = LoadBalancer(self.replicas)
-
-    # ------------------------------------------------------------------
-    def _engine_for(self, rep: Replica, key: Tuple,
-                    lead: ServeRequest) -> DistSpMMEngine:
-        """The replica's engine for one request group (lazy).
-
-        Pinned exactly like the single-executor path
-        (``classify_k`` or the group lead's width), so every replica —
-        and the fault-free baseline — accumulates ``C`` in the same
-        order and completed slices are byte-identical.
-        """
-        engine = rep.engines.get(key)
-        if engine is None:
-            pin = self.policy.classify_k
-            engine = DistSpMMEngine(
-                self._router.matrices[lead.matrix],
-                rep.machine,
-                stripe_width=self.stripe_width,
-                coeffs=self.coeffs,
-                plan_cache=None,
-                classify_k=pin if pin is not None else lead.k,
-                grid=(
-                    rep.grid if rep.grid is not None
-                    else self._router._group_grids.get(key)
-                ),
-            )
-            rep.engines[key] = engine
-        return engine
-
-    def _cached_widths(self, key: Tuple) -> set:
-        """Fused widths some replica already holds a plan for."""
-        widths: set = set()
-        for rep in self.replicas:
-            engine = rep.engines.get(key)
-            if engine is not None:
-                widths.update(engine._plans)
-        return widths
-
-    # ------------------------------------------------------------------
-    def serve(self, requests: Sequence[ServeRequest],
-              fuse: bool = True) -> ResilienceReport:
-        """Replay ``requests`` through the replicated event loop."""
-        ids = [r.request_id for r in requests]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("request ids must be unique")
-        pending = sorted(requests, key=lambda r: (r.arrival, r.request_id))
-        queues: Dict[Tuple, List[ServeRequest]] = {}
-        outcomes: Dict[int, ServeOutcome] = {}
-        report = ResilienceReport(fused=fuse)
-        state = {"queued": 0, "idx": 0, "batch_id": 0}
-
-        def admit_until(t: float) -> None:
-            while (
-                state["idx"] < len(pending)
-                and pending[state["idx"]].arrival <= t
-            ):
-                req = pending[state["idx"]]
-                state["idx"] += 1
-                if state["queued"] >= self.policy.max_queue_depth:
-                    outcomes[req.request_id] = ServeOutcome(
-                        request_id=req.request_id,
-                        tenant=req.tenant,
-                        matrix=req.matrix,
-                        status=REJECTED,
-                        completion=req.arrival,
-                        reject_reason=RejectReason.QUEUE_FULL,
-                    )
-                    continue
-                queues.setdefault(
-                    self._router._group_key(req), []
-                ).append(req)
-                state["queued"] += 1
-                report.peak_queue_depth = max(
-                    report.peak_queue_depth, state["queued"]
-                )
-                self._shed(req.arrival, queues, outcomes, state, report)
-
-        def ready_at(queue: List[ServeRequest]) -> float:
-            first = queue[0]
-            if not fuse:
-                return first.arrival
-            cum = 0
-            for req in queue:
-                if cum and cum + req.k > self.policy.max_fused_k:
-                    return req.arrival
-                cum += req.k
-                if cum >= self.policy.max_fused_k:
-                    return req.arrival
-            if state["idx"] >= len(pending):
-                return queue[-1].arrival
-            return first.arrival + self.policy.max_batch_delay
-
-        def select() -> Tuple[Tuple, float]:
-            free = min(rep.free_at for rep in self.replicas)
-            best_key = None
-            best = (float("inf"), -1)
-            for key, queue in queues.items():
-                t = max(ready_at(queue), free)
-                cand = (t, queue[0].request_id)
-                if best_key is None or cand < best:
-                    best_key, best = key, cand
-            assert best_key is not None
-            return best_key, best[0]
-
-        while state["idx"] < len(pending) or state["queued"]:
-            if state["queued"] == 0:
-                admit_until(pending[state["idx"]].arrival)
-                continue
-            while True:
-                key, t = select()
-                if (
-                    state["idx"] < len(pending)
-                    and pending[state["idx"]].arrival <= t
-                ):
-                    admit_until(t)
-                    continue
-                break
-            self._dispatch(key, t, fuse, queues, outcomes, state, report)
-
-        report.outcomes = [outcomes[i] for i in sorted(outcomes)]
-        for rep in self.replicas:
-            report.replica_stats[rep.rid] = rep.describe()
-            report.breaker_opens += rep.breaker.opens
-            report.probes += rep.stats.probes
-        return report
-
-    # ------------------------------------------------------------------
-    def _shed(self, t: float, queues, outcomes, state, report) -> None:
-        """Drop lowest-priority queued work once pressure crosses the
-        shed threshold (latest arrival first within a priority class;
-        ``protect_priority`` work is never shed)."""
-        limit = self.policy.max_queue_depth * (
-            self.resilience.shed_queue_fraction
-        )
-        while state["queued"] > limit:
-            victim_key = None
-            victim = None
-            for key, queue in queues.items():
-                for req in queue:
-                    if req.priority >= self.resilience.protect_priority:
-                        continue
-                    better = victim is None or (
-                        (req.priority, -req.arrival, -req.request_id)
-                        < (victim.priority, -victim.arrival,
-                           -victim.request_id)
-                    )
-                    if better:
-                        victim_key, victim = key, req
-            if victim is None:
-                return
-            queues[victim_key].remove(victim)
-            if not queues[victim_key]:
-                del queues[victim_key]
-            state["queued"] -= 1
-            report.shed += 1
-            outcomes[victim.request_id] = ServeOutcome(
-                request_id=victim.request_id,
-                tenant=victim.tenant,
-                matrix=victim.matrix,
-                status=REJECTED,
-                completion=t,
-                reject_reason=RejectReason.SHED,
-            )
-
-    # ------------------------------------------------------------------
-    def _attempt(self, rep: Replica, key: Tuple, lead: ServeRequest,
-                 B: np.ndarray, start: float,
-                 report: ResilienceReport):
-        """Run one dispatch attempt on ``rep`` starting at ``start``.
-
-        Returns ``(ok, charged, C, kind, completion)``; the replica's
-        clock, stats, EWMAs, and breaker are all updated here.
-        """
-        res = self.resilience
-        epoch = rep.next_epoch
-        rep.next_epoch += 1
-        engine = self._engine_for(rep, key, lead)
-        cache = self._router.tenant_cache(
-            f"replica{rep.rid}/{lead.tenant}"
-        )
-        before = resilience_stats().snapshot()
-        C = None
-        try:
-            C, seconds = engine.multiply(
-                B, plan_cache=cache, machine=rep.machine_for_epoch(epoch)
-            )
-        except ExecutorCrashError:
-            ok, charged, kind = False, res.crash_detect_seconds, CRASH
-            rep.stats.crashes += 1
-            report.crashes += 1
-        except ReproError:
-            ok, charged, kind = False, 0.0, ERROR
-        else:
-            if res.timeout is not None and seconds > res.timeout:
-                ok, charged, kind = False, res.timeout, TIMEOUT
-                C = None
-                rep.stats.timeouts += 1
-                report.timeouts += 1
-            else:
-                ok, charged, kind = True, seconds, OK
-        after = resilience_stats().snapshot()
-        rep.stats.rget_failures += after[0] - before[0]
-        rep.stats.rget_retries += after[1] - before[1]
-        rep.stats.lane_fallbacks += after[3] - before[3]
-        rep.free_at = start + charged
-        completion = rep.free_at
-        rep.stats.dispatches += 1
-        rep.stats.busy_seconds += charged
-        if ok:
-            rep.stats.successes += 1
-            rep.observe_latency(charged, res.ewma_alpha)
-            self.replicas.observe_fleet(charged)
-        else:
-            rep.stats.failures += 1
-        rep.breaker.record(completion, ok)
-        rep.breaker.check_drift(
-            completion, rep.latency_ewma, self.replicas.fleet_ewma
-        )
-        return ok, charged, C, kind, completion
-
-    def _dispatch(self, key: Tuple, t: float, fuse: bool, queues,
-                  outcomes, state, report: ResilienceReport) -> None:
-        """Route one group dispatch: degrade, balance, hedge, retry."""
-        res = self.resilience
-        self.replicas.run_probes(t)
-        queue = queues[key]
-
-        # Degradation ladder: under pressure prefer a fused width whose
-        # plan is already cached; failing that, halve the K-panel cap.
-        cap = self.policy.max_fused_k
-        degraded = None
-        if fuse and len(queue) > 1:
-            pressure = state["queued"] / self.policy.max_queue_depth
-            if pressure >= res.degrade_queue_fraction:
-                widths, cum = [], 0
-                for req in queue:
-                    if cum and cum + req.k > cap:
-                        break
-                    cum += req.k
-                    widths.append(cum)
-                full = widths[-1]
-                cached = self._cached_widths(key)
-                if full not in cached:
-                    stale = max(
-                        (w for w in widths[:-1] if w in cached),
-                        default=None,
-                    )
-                    if stale is not None:
-                        cap, degraded = stale, "stale_plan"
-                    else:
-                        cap = max(queue[0].k, cap // 2)
-                        if cap < full:
-                            degraded = "k_panel"
-
-        batch: List[ServeRequest] = []
-        fused_k = 0
-        for req in queue:
-            if batch and (not fuse or fused_k + req.k > cap):
-                break
-            batch.append(req)
-            fused_k += req.k
-            if not fuse:
-                break
-        del queue[: len(batch)]
-        if not queue:
-            del queues[key]
-        state["queued"] -= len(batch)
-
-        lead = batch[0]
-        if len(batch) == 1:
-            B = lead.B
-        else:
-            B = np.concatenate([r.B for r in batch], axis=1)
-        batch_id = int(state["batch_id"])
-        state["batch_id"] += 1
-        if degraded is not None:
-            report.degraded_dispatches += 1
-
-        # --- primary attempt -----------------------------------------
-        tried: List[int] = []
-        order = self.balancer.order(t)
-        primary = order[0]
-        tried.append(primary.rid)
-        ok, charged, C, kind, comp = self._attempt(
-            primary, key, lead, B, max(primary.free_at, t), report,
-        )
-        attempts = 1
-        hedged = False
-        winner: Optional[Replica] = primary if ok else None
-        completion = comp
-        last_failure = comp
-
-        # --- hedge ----------------------------------------------------
-        if (
-            res.hedge_delay is not None
-            and len(self.replicas) > 1
-            and (not ok or comp > t + res.hedge_delay)
-            and attempts <= res.max_retries
-        ):
-            backup = self.balancer.order(
-                t + res.hedge_delay, exclude=tuple(tried)
-            )[0]
-            if backup.rid != primary.rid:
-                tried.append(backup.rid)
-                bok, bcharged, bC, bkind, bcomp = self._attempt(
-                    backup, key, lead, B,
-                    max(backup.free_at, t + res.hedge_delay), report,
-                )
-                attempts += 1
-                hedged = True
-                report.hedges += 1
-                if ok and bok:
-                    if bcomp < comp:
-                        winner, C, completion = backup, bC, bcomp
-                        report.hedge_wins += 1
-                        report.hedge_wasted_seconds += charged
-                    else:
-                        report.hedge_wasted_seconds += bcharged
-                elif bok:
-                    winner, C, completion = backup, bC, bcomp
-                    report.hedge_wins += 1
-                elif ok:
-                    report.hedge_wasted_seconds += bcharged
-                    last_failure = max(last_failure, bcomp)
-                else:
-                    report.hedge_wasted_seconds += charged + bcharged
-                    last_failure = max(last_failure, bcomp)
-
-        # --- retry-with-backoff --------------------------------------
-        retry_index = 0
-        while winner is None and attempts <= res.max_retries:
-            retry_index += 1
-            backoff = res.retry_backoff_base * (2 ** (retry_index - 1))
-            earliest = last_failure + backoff
-            rep = self.balancer.order(earliest, exclude=tuple(tried))[0]
-            if rep.rid not in tried:
-                tried.append(rep.rid)
-            ok, charged, C, kind, comp = self._attempt(
-                rep, key, lead, B, max(rep.free_at, earliest), report,
-            )
-            attempts += 1
-            report.retries += 1
-            if ok:
-                winner, completion = rep, comp
-            else:
-                last_failure = comp
-
-        # --- record outcomes -----------------------------------------
-        status = DONE if winner is not None else FAILED
-        report.routing_trace.append((
-            batch_id, winner.rid if winner is not None else -1,
-            attempts, hedged, status,
-        ))
-        if winner is None:
-            completion = last_failure
-        offset = 0
-        for req in batch:
-            piece = None
-            if winner is not None:
-                piece = np.ascontiguousarray(
-                    C[:, offset:offset + req.k]
-                )
-            offset += req.k
-            outcomes[req.request_id] = ServeOutcome(
-                request_id=req.request_id,
-                tenant=req.tenant,
-                matrix=req.matrix,
-                status=status,
-                batch_id=batch_id,
-                fused_k=fused_k,
-                dispatched=t,
-                completion=completion,
-                latency=completion - req.arrival,
-                deadline_missed=(
-                    req.deadline is not None
-                    and completion > req.deadline
-                ),
-                replica=winner.rid if winner is not None else None,
-                attempts=attempts,
-                hedged=hedged,
-                degraded=degraded,
-                C=piece,
-            )
-        report.batches.append(
-            BatchRecord(
-                batch_id, lead.matrix, tuple(r.tenant for r in batch),
-                t, fused_k, len(batch),
-                completion - t if winner is not None else 0.0,
-            )
-        )

@@ -1,4 +1,4 @@
-"""Admission, batching, and K-panel fusion for SpMM serving.
+"""The serving event loop: admission, K-panel fusion, and dispatch.
 
 :class:`ServeScheduler` replays a trace of :class:`ServeRequest`\\ s
 through a deterministic virtual-clock event loop.  Queued requests
@@ -9,6 +9,15 @@ sliced back per request.  Fusion amortises the per-fetch and
 per-multicast fixed costs of the distributed SpMM over the combined
 width — the serving-side analogue of the paper's observation that
 wider dense matrices communicate more efficiently per byte.
+
+One loop serves every configuration (DESIGN.md §8): each dispatch is
+routed onto a :class:`~repro.serve.resilience.ReplicaSet` under a
+:class:`~repro.serve.resilience.ResiliencePolicy`.  The plain
+:class:`ServeScheduler` runs the policy value
+:data:`~repro.serve.resilience.SINGLE_EXECUTOR` (one replica, no
+retries, hedge or timeout; shed and degrade unreachable), and
+:class:`ResilientScheduler` runs the caller's policy, faults and
+per-replica grids (DESIGN.md §12).
 
 Correctness (DESIGN.md §8): stripe classification depends on K, and a
 different classification changes the order stripes accumulate into
@@ -27,11 +36,12 @@ everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cluster.faults import FaultConfig, resilience_stats
 from ..cluster.machine import MachineConfig
 from ..core.model import CostCoefficients
 from ..core.plancache import (
@@ -42,16 +52,25 @@ from ..core.plancache import (
     matrix_content_digest,
     resolve_plan_cache,
 )
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ExecutorCrashError, ReproError
 from ..gnn.engine import DistSpMMEngine
 from ..sparse.coo import COOMatrix
 from .request import (
     DONE,
     FAILED,
-    REJECTED,
+    BatchRecord,
     RejectReason,
     ServeOutcome,
+    ServeReport,
     ServeRequest,
+)
+from .resilience import (
+    SINGLE_EXECUTOR,
+    LoadBalancer,
+    Replica,
+    ReplicaSet,
+    ResiliencePolicy,
+    ResilienceReport,
 )
 
 
@@ -109,91 +128,22 @@ class ServePolicy:
             )
 
 
-@dataclass
-class BatchRecord:
-    """One fused dispatch: which requests ran together, and when."""
+class _Attempt(NamedTuple):
+    """One dispatch attempt: ``C`` is None when it failed."""
 
-    batch_id: int
-    matrix: str
-    tenants: Tuple[str, ...]
-    dispatched: float
-    fused_k: int
-    n_requests: int
-    seconds: float
-
-
-@dataclass
-class ServeReport:
-    """Everything a trace replay produced.
-
-    ``outcomes`` is ordered by request id, so two replays of one trace
-    (fused vs serial, different worker widths) compare positionally.
-    """
-
-    fused: bool
-    outcomes: List[ServeOutcome] = field(default_factory=list)
-    batches: List[BatchRecord] = field(default_factory=list)
-    peak_queue_depth: int = 0
-
-    def latencies(self) -> List[float]:
-        """Completed requests' simulated latencies, in request order."""
-        return [o.latency for o in self.outcomes if o.status == DONE]
-
-    def serving_summary(self) -> Dict[str, float]:
-        """The telemetry dict consumed by ``PerfLog.record_serve_cell``.
-
-        ``requests_per_sec`` and ``makespan`` are simulated-time
-        quantities: completed requests over the span from first arrival
-        to last completion.
-        """
-        from ..bench.telemetry import latency_summary
-
-        done = [o for o in self.outcomes if o.status == DONE]
-        failed = [o for o in self.outcomes if o.status == FAILED]
-        rejected = [o for o in self.outcomes if o.status == REJECTED]
-        summary = latency_summary([o.latency for o in done])
-        if done:
-            first_arrival = min(
-                o.completion - o.latency for o in self.outcomes
-            )
-            makespan = max(o.completion for o in done) - first_arrival
-        else:
-            makespan = 0.0
-        span = max(makespan, 1e-12)
-        return {
-            "requests": len(self.outcomes),
-            "completed": len(done),
-            "rejected": len(rejected),
-            "rejected_queue_full": sum(
-                1 for o in rejected
-                if o.reject_reason is RejectReason.QUEUE_FULL
-            ),
-            "rejected_shed": sum(
-                1 for o in rejected
-                if o.reject_reason is RejectReason.SHED
-            ),
-            "failed": len(failed),
-            "batches": len(self.batches),
-            "fusion_factor": (
-                len(done) / len(self.batches) if self.batches else 0.0
-            ),
-            "p50_latency": summary["p50"],
-            "p95_latency": summary["p95"],
-            "p99_latency": summary["p99"],
-            "requests_per_sec": len(done) / span if done else 0.0,
-            "peak_queue_depth": self.peak_queue_depth,
-            "deadline_misses": sum(
-                1 for o in self.outcomes if o.deadline_missed
-            ),
-            "makespan": makespan,
-        }
+    rid: int
+    C: Optional[np.ndarray]
+    charged: float
+    start: float
+    completion: float
 
 
 class ServeScheduler:
     """Multi-tenant SpMM serving against a fixed set of matrices.
 
-    One scheduler owns one simulated service executor: dispatches are
-    serialised on the virtual clock (``free_at``), engines persist
+    This constructor is the single-executor configuration: one
+    simulated service executor (:data:`SINGLE_EXECUTOR`) serialises
+    dispatches on its virtual clock (``free_at``).  Engines persist
     across :meth:`serve` calls (warm plans), and every tenant gets a
     private :class:`~repro.core.plancache.PlanCacheNamespace` over the
     shared persistent cache.
@@ -214,6 +164,10 @@ class ServeScheduler:
             lookup.
     """
 
+    #: What :meth:`serve` returns.  A plain :class:`ServeReport` has no
+    #: fleet counters, so single-executor telemetry reads 0 replicas.
+    report_type = ServeReport
+
     def __init__(
         self,
         machine: MachineConfig,
@@ -224,11 +178,23 @@ class ServeScheduler:
         plan_cache: PlanCacheLike = AUTO,
         tuner=None,
     ):
+        self._setup(
+            machine, matrices, policy, SINGLE_EXECUTOR, machine.faults,
+            stripe_width, coeffs, plan_cache, tuner=tuner,
+        )
+
+    def _setup(self, machine, matrices, policy, resilience, faults,
+               stripe_width, coeffs, plan_cache, tuner=None, grids=None):
         if not matrices:
             raise ConfigurationError("scheduler needs at least one matrix")
-        self.machine = machine
+        # Group keys and tuned layouts come from the fault-free base
+        # machine; faults belong to the replicas.
+        self.machine = replace(machine, faults=None)
         self.matrices = dict(matrices)
         self.policy = policy if policy is not None else ServePolicy()
+        self.resilience = resilience
+        self.faults = faults
+        self.grids = grids
         self.stripe_width = stripe_width
         self.coeffs = coeffs
         parent = resolve_plan_cache(plan_cache)
@@ -236,11 +202,22 @@ class ServeScheduler:
             parent = parent.parent
         self._shared_cache: Optional[PlanCache] = parent
         self._tenant_caches: Dict[str, Optional[PlanCacheNamespace]] = {}
+        # (replica id, group key) -> engine; outlives each replay's fleet.
         self._engines: Dict[Tuple, DistSpMMEngine] = {}
         self._tuners: Dict[Tuple, object] = {}
         self._group_grids: Dict[Tuple, object] = {}
         if tuner is not None:
             self._tuners[self._machine_shape(tuner.machine)] = tuner
+        self._new_fleet()
+
+    def _new_fleet(self) -> None:
+        """A fresh replica set: clocks, breakers, EWMAs and crash
+        epochs restart, while engines (and their plans) persist."""
+        self.replicas = ReplicaSet(
+            self.machine, self.resilience.n_replicas, self.faults,
+            self.resilience, grids=self.grids,
+        )
+        self.balancer = LoadBalancer(self.replicas)
 
     # ------------------------------------------------------------------
     def tenant_cache(self, tenant: str) -> Optional[PlanCacheNamespace]:
@@ -334,32 +311,48 @@ class ServeScheduler:
         self._group_grids.setdefault(key, decision.grid)
         return key
 
-    def _engine_for(self, key: Tuple, lead: ServeRequest) -> DistSpMMEngine:
-        """The group's engine, built on first dispatch.
+    def _engine_for(self, rep: Replica, key: Tuple,
+                    lead: ServeRequest) -> DistSpMMEngine:
+        """The replica's engine for one request group, built on its
+        first dispatch.
 
-        The classification pin is fixed here: the policy's
-        ``classify_k`` or, by default, the lead (earliest) request's
-        width — identical between fused and serial replays of one
-        trace, so their plans accumulate ``C`` in the same order.
+        The engine runs on the lead's own machine when it has one, under
+        the replica's faults.  The classification pin is fixed here: the
+        policy's ``classify_k`` or, by default, the lead (earliest)
+        request's width — identical between fused and serial replays of
+        one trace and across replicas, so their plans accumulate ``C``
+        in the same order.
 
         Autotuned groups use the same pin: the layout decision was
         modelled under ``classify_k = lead.k`` (see ``_group_key``), so
         the engine runs exactly the configuration the tuner priced.
         """
-        engine = self._engines.get(key)
+        engine = self._engines.get((rep.rid, key))
         if engine is None:
             pin = self.policy.classify_k
             engine = DistSpMMEngine(
                 self.matrices[lead.matrix],
-                lead.machine or self.machine,
+                rep.machine_for(lead.machine),
                 stripe_width=self.stripe_width,
                 coeffs=self.coeffs,
                 plan_cache=None,
                 classify_k=pin if pin is not None else lead.k,
-                grid=self._group_grids.get(key),
+                grid=(
+                    rep.grid if rep.grid is not None
+                    else self._group_grids.get(key)
+                ),
             )
-            self._engines[key] = engine
+            self._engines[(rep.rid, key)] = engine
         return engine
+
+    def _cached_widths(self, key: Tuple) -> set:
+        """Fused widths some replica already holds a plan for."""
+        widths: set = set()
+        for rep in self.replicas:
+            engine = self._engines.get((rep.rid, key))
+            if engine is not None:
+                widths.update(engine._plans)
+        return widths
 
     def tuner_stats(self) -> Dict[str, dict]:
         """Per-(machine shape, pin) autotuner telemetry (empty off).
@@ -379,6 +372,9 @@ class ServeScheduler:
     ) -> ServeReport:
         """Replay ``requests`` through the virtual-clock event loop.
 
+        Every replay starts a fresh fleet at virtual time 0; engines
+        (and their plans) persist across calls.
+
         Args:
             requests: the trace; any order (replay sorts by arrival,
                 ties broken by request id).
@@ -386,17 +382,18 @@ class ServeScheduler:
                 baseline the CLI and benchmarks compare against).
 
         Returns:
-            A :class:`ServeReport` with per-request outcomes in
+            A :attr:`report_type` with per-request outcomes in
             request-id order.
         """
         ids = [r.request_id for r in requests]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("request ids must be unique")
+        self._new_fleet()
         pending = sorted(requests, key=lambda r: (r.arrival, r.request_id))
         queues: Dict[Tuple, List[ServeRequest]] = {}
         outcomes: Dict[int, ServeOutcome] = {}
-        report = ServeReport(fused=fuse)
-        state = {"queued": 0, "free_at": 0.0, "idx": 0, "batch_id": 0}
+        report = ResilienceReport(fused=fuse)
+        state = {"queued": 0, "idx": 0, "batch_id": 0}
 
         def admit_until(t: float) -> None:
             """Admit (or reject) every arrival at or before ``t``."""
@@ -407,13 +404,8 @@ class ServeScheduler:
                 req = pending[state["idx"]]
                 state["idx"] += 1
                 if state["queued"] >= self.policy.max_queue_depth:
-                    outcomes[req.request_id] = ServeOutcome(
-                        request_id=req.request_id,
-                        tenant=req.tenant,
-                        matrix=req.matrix,
-                        status=REJECTED,
-                        completion=req.arrival,
-                        reject_reason=RejectReason.QUEUE_FULL,
+                    outcomes[req.request_id] = ServeOutcome.rejected(
+                        req, RejectReason.QUEUE_FULL
                     )
                     continue
                 queues.setdefault(self._group_key(req), []).append(req)
@@ -421,6 +413,7 @@ class ServeScheduler:
                 report.peak_queue_depth = max(
                     report.peak_queue_depth, state["queued"]
                 )
+                self._shed(queues, outcomes, state, report)
 
         def ready_at(queue: List[ServeRequest]) -> float:
             """When this group is willing to dispatch.
@@ -449,10 +442,11 @@ class ServeScheduler:
 
         def select() -> Tuple[Tuple, float]:
             """The (group, time) of the next dispatch."""
+            free = min(rep.free_at for rep in self.replicas)
             best_key = None
             best = (float("inf"), -1)
             for key, queue in queues.items():
-                t = max(ready_at(queue), state["free_at"])
+                t = max(ready_at(queue), free)
                 cand = (t, queue[0].request_id)
                 if best_key is None or cand < best:
                     best_key, best = key, cand
@@ -477,103 +471,320 @@ class ServeScheduler:
                 break
             self._dispatch(key, t, fuse, queues, outcomes, state, report)
 
-        report.outcomes = [
-            outcomes[i] for i in sorted(outcomes)
-        ]
+        report.outcomes = [outcomes[i] for i in sorted(outcomes)]
+        for rep in self.replicas:
+            report.replica_stats[rep.rid] = rep.describe()
+            report.breaker_opens += rep.breaker.opens
+            report.probes += rep.stats.probes
+        if self.report_type is ServeReport:
+            return ServeReport(
+                fuse, report.outcomes, report.batches,
+                report.peak_queue_depth,
+            )
         return report
 
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        key: Tuple,
-        t: float,
-        fuse: bool,
-        queues: Dict[Tuple, List[ServeRequest]],
-        outcomes: Dict[int, ServeOutcome],
-        state: Dict[str, float],
-        report: ServeReport,
-    ) -> None:
-        """Fuse the head of group ``key``'s queue and run it at ``t``."""
+    def _shed(self, queues, outcomes, state, report) -> None:
+        """Drop lowest-priority queued work once pressure crosses the
+        shed threshold (latest arrival first within a priority class;
+        ``protect_priority`` work is never shed)."""
+        limit = self.policy.max_queue_depth * (
+            self.resilience.shed_queue_fraction
+        )
+        while state["queued"] > limit:
+            victim_key = None
+            victim = None
+            for key, queue in queues.items():
+                for req in queue:
+                    if req.priority >= self.resilience.protect_priority:
+                        continue
+                    better = victim is None or (
+                        (req.priority, -req.arrival, -req.request_id)
+                        < (victim.priority, -victim.arrival,
+                           -victim.request_id)
+                    )
+                    if better:
+                        victim_key, victim = key, req
+            if victim is None:
+                return
+            queues[victim_key].remove(victim)
+            if not queues[victim_key]:
+                del queues[victim_key]
+            state["queued"] -= 1
+            report.shed += 1
+            outcomes[victim.request_id] = ServeOutcome.rejected(
+                victim, RejectReason.SHED
+            )
+
+    def _panel_cap(self, key: Tuple, queue: List[ServeRequest],
+                   queued: int) -> Tuple[int, Optional[str]]:
+        """The fused-width cap for one dispatch, and how it degraded.
+
+        Under queue pressure, prefer a fused width whose plan some
+        replica already holds; failing that, halve the K-panel cap.
+        """
+        cap = self.policy.max_fused_k
+        pressure = queued / self.policy.max_queue_depth
+        if len(queue) < 2 or pressure < self.resilience.degrade_queue_fraction:
+            return cap, None
+        widths, cum = [], 0
+        for req in queue:
+            if cum and cum + req.k > cap:
+                break
+            cum += req.k
+            widths.append(cum)
+        full = widths[-1]
+        cached = self._cached_widths(key)
+        if full in cached:
+            return cap, None
+        stale = max((w for w in widths[:-1] if w in cached), default=None)
+        if stale is not None:
+            return stale, "stale_plan"
+        cap = max(queue[0].k, cap // 2)
+        return cap, ("k_panel" if cap < full else None)
+
+    def _attempt(self, rep: Replica, key: Tuple, lead: ServeRequest,
+                 B: np.ndarray, start: float,
+                 report: ResilienceReport) -> _Attempt:
+        """Run one dispatch attempt on ``rep`` starting at ``start``.
+
+        The replica's clock, stats, EWMAs, and breaker are all updated
+        here.  A crash charges ``crash_detect_seconds``, a timeout
+        exactly ``timeout``, and any other failure nothing.
+        """
+        res = self.resilience
+        epoch = rep.next_epoch
+        rep.next_epoch += 1
+        engine = self._engine_for(rep, key, lead)
+        tenant = (
+            lead.tenant if len(self.replicas) == 1
+            else f"replica{rep.rid}/{lead.tenant}"
+        )
+        before = resilience_stats().snapshot()
+        C = None
+        try:
+            C, seconds = engine.multiply(
+                B, plan_cache=self.tenant_cache(tenant),
+                machine=rep.machine_for_epoch(engine.machine, epoch),
+            )
+        except ExecutorCrashError:
+            charged = res.crash_detect_seconds
+            rep.stats.crashes += 1
+            report.crashes += 1
+        except ReproError:
+            charged = 0.0
+        else:
+            charged = seconds
+            if res.timeout is not None and seconds > res.timeout:
+                charged, C = res.timeout, None
+                rep.stats.timeouts += 1
+                report.timeouts += 1
+        after = resilience_stats().snapshot()
+        rep.stats.rget_failures += after[0] - before[0]
+        rep.stats.rget_retries += after[1] - before[1]
+        rep.stats.lane_fallbacks += after[3] - before[3]
+        rep.free_at = start + charged
+        ok = C is not None
+        rep.stats.dispatches += 1
+        rep.stats.busy_seconds += charged
+        if ok:
+            rep.stats.successes += 1
+            rep.observe_latency(charged, res.ewma_alpha)
+            self.replicas.observe_fleet(charged)
+        else:
+            rep.stats.failures += 1
+        rep.breaker.record(rep.free_at, ok)
+        rep.breaker.check_drift(
+            rep.free_at, rep.latency_ewma, self.replicas.fleet_ewma
+        )
+        return _Attempt(rep.rid, C, charged, start, rep.free_at)
+
+    def _dispatch(self, key: Tuple, t: float, fuse: bool, queues,
+                  outcomes, state, report: ResilienceReport) -> None:
+        """Fuse the head of group ``key``'s queue and run it at ``t``:
+        degrade, balance, hedge, retry, then record the outcomes."""
+        res = self.resilience
+        self.replicas.run_probes(t)
         queue = queues[key]
+        cap, degraded = (
+            self._panel_cap(key, queue, state["queued"]) if fuse
+            else (self.policy.max_fused_k, None)
+        )
         batch: List[ServeRequest] = []
         fused_k = 0
         for req in queue:
-            if batch and (
-                not fuse or fused_k + req.k > self.policy.max_fused_k
-            ):
+            if batch and (not fuse or fused_k + req.k > cap):
                 break
             batch.append(req)
             fused_k += req.k
-            if not fuse:
-                break
         del queue[: len(batch)]
         if not queue:
             del queues[key]
         state["queued"] -= len(batch)
 
         lead = batch[0]
-        engine = self._engine_for(key, lead)
-        cache = self.tenant_cache(lead.tenant)
         if len(batch) == 1:
             B = lead.B
         else:
             B = np.concatenate([r.B for r in batch], axis=1)
         batch_id = int(state["batch_id"])
         state["batch_id"] += 1
-        try:
-            C, seconds = engine.multiply(B, plan_cache=cache)
-        except ReproError:
-            # A failed dispatch consumes no simulated executor time,
-            # but the clock still advances to the dispatch instant so
-            # batch timestamps stay monotone.
-            state["free_at"] = max(state["free_at"], t)
-            for req in batch:
-                outcomes[req.request_id] = ServeOutcome(
-                    request_id=req.request_id,
-                    tenant=req.tenant,
-                    matrix=req.matrix,
-                    status=FAILED,
-                    batch_id=batch_id,
-                    fused_k=fused_k,
-                    dispatched=t,
-                    completion=t,
-                    latency=t - req.arrival,
-                    deadline_missed=(
-                        req.deadline is not None and t > req.deadline
-                    ),
+        if degraded is not None:
+            report.degraded_dispatches += 1
+
+        # --- primary attempt -----------------------------------------
+        primary = self.balancer.order(t)[0]
+        tried = [primary.rid]
+        first = self._attempt(
+            primary, key, lead, B, max(primary.free_at, t), report
+        )
+        win = first if first.C is not None else None
+        attempts = 1
+        hedged = False
+        last_failure = first.completion
+
+        # --- hedge ----------------------------------------------------
+        if (
+            res.hedge_delay is not None
+            and len(self.replicas) > 1
+            and (win is None or first.completion > t + res.hedge_delay)
+            and attempts <= res.max_retries
+        ):
+            backup = self.balancer.order(
+                t + res.hedge_delay, exclude=tuple(tried)
+            )[0]
+            if backup.rid != primary.rid:
+                tried.append(backup.rid)
+                second = self._attempt(
+                    backup, key, lead, B,
+                    max(backup.free_at, t + res.hedge_delay), report,
                 )
-            report.batches.append(
-                BatchRecord(
-                    batch_id, lead.matrix,
-                    tuple(r.tenant for r in batch), t, fused_k,
-                    len(batch), 0.0,
-                )
+                attempts += 1
+                hedged = True
+                report.hedges += 1
+                # The earliest success wins; every other participant's
+                # charged seconds are wasted.
+                if second.C is not None and (
+                    win is None or second.completion < win.completion
+                ):
+                    if win is not None:
+                        report.hedge_wasted_seconds += win.charged
+                    win = second
+                    report.hedge_wins += 1
+                else:
+                    report.hedge_wasted_seconds += (
+                        second.charged if win is not None
+                        else first.charged + second.charged
+                    )
+                    last_failure = max(last_failure, second.completion)
+
+        # --- retry-with-backoff --------------------------------------
+        retry_index = 0
+        while win is None and attempts <= res.max_retries:
+            retry_index += 1
+            backoff = res.retry_backoff_base * (2 ** (retry_index - 1))
+            earliest = last_failure + backoff
+            rep = self.balancer.order(earliest, exclude=tuple(tried))[0]
+            if rep.rid not in tried:
+                tried.append(rep.rid)
+            retry = self._attempt(
+                rep, key, lead, B, max(rep.free_at, earliest), report,
             )
-            return
-        completion = t + seconds
-        state["free_at"] = completion
+            attempts += 1
+            report.retries += 1
+            if retry.C is not None:
+                win = retry
+            else:
+                last_failure = retry.completion
+
+        # --- record outcomes -----------------------------------------
+        status = DONE if win is not None else FAILED
+        winner = win.rid if win is not None else None
+        completion = win.completion if win is not None else last_failure
+        report.routing_trace.append((
+            batch_id, winner if winner is not None else -1,
+            attempts, hedged, status,
+        ))
         offset = 0
         for req in batch:
-            piece = C[:, offset:offset + req.k]
+            piece = None
+            if win is not None:
+                piece = np.ascontiguousarray(
+                    win.C[:, offset:offset + req.k]
+                )
             offset += req.k
             outcomes[req.request_id] = ServeOutcome(
                 request_id=req.request_id,
                 tenant=req.tenant,
                 matrix=req.matrix,
-                status=DONE,
+                status=status,
                 batch_id=batch_id,
                 fused_k=fused_k,
                 dispatched=t,
                 completion=completion,
                 latency=completion - req.arrival,
                 deadline_missed=(
-                    req.deadline is not None and completion > req.deadline
+                    req.deadline is not None
+                    and completion > req.deadline
                 ),
-                C=np.ascontiguousarray(piece),
+                replica=winner,
+                attempts=attempts,
+                hedged=hedged,
+                degraded=degraded,
+                C=piece,
             )
         report.batches.append(
             BatchRecord(
                 batch_id, lead.matrix, tuple(r.tenant for r in batch),
-                t, fused_k, len(batch), seconds,
+                t, fused_k, len(batch),
+                (win.start - t) + win.charged if win is not None else 0.0,
             )
+        )
+
+
+class ResilientScheduler(ServeScheduler):
+    """The serving loop over N replicas: the replicated configuration.
+
+    Same trace in as :class:`ServeScheduler`, a
+    :class:`~repro.serve.resilience.ResilienceReport` out; dispatches
+    route through the :class:`~repro.serve.resilience.LoadBalancer`
+    with the caller's timeouts, retries, hedging, circuit breakers and
+    SLO-aware admission.  Grouping, classification pins and tuned
+    layouts are exactly those of the single-executor configuration.
+
+    Args:
+        machine: base cluster every replica clones (fault seeds vary).
+        matrices: suite name -> loaded matrix.
+        policy: admission/fusion policy.
+        resilience: the fleet knobs (:class:`ResiliencePolicy`).
+        faults: fault config injected into the replicas; None uses the
+            machine's own (fault-free when it has none).  Replica
+            ``rid`` runs under ``seed + rid``.
+        stripe_width / coeffs / plan_cache: forwarded to engines; the
+            shared persistent cache is namespaced per replica *and*
+            tenant (``replica<rid>/<tenant>``) when there are several
+            replicas.
+        grids: optional per-replica process grids (length
+            ``n_replicas``).
+    """
+
+    report_type = ResilienceReport
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        matrices: Dict[str, COOMatrix],
+        policy: Optional[ServePolicy] = None,
+        resilience: Optional[ResiliencePolicy] = None,
+        faults: Optional[FaultConfig] = None,
+        stripe_width: Optional[int] = None,
+        coeffs: Optional[CostCoefficients] = None,
+        plan_cache: PlanCacheLike = AUTO,
+        grids: Optional[Sequence] = None,
+    ):
+        self._setup(
+            machine, matrices, policy,
+            resilience if resilience is not None else ResiliencePolicy(),
+            faults if faults is not None else machine.faults,
+            stripe_width, coeffs, plan_cache, grids=grids,
         )

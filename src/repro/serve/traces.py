@@ -10,8 +10,9 @@ bit-identically — including every request's dense block:
 * :func:`diurnal_trace` — a smooth sinusoidal rate, peak-and-trough
   like a day of traffic.
 * :func:`hot_matrix_trace` — bursty arrivals with a skewed matrix
-  popularity (one hot matrix takes most requests), the acceptance
-  scenario of BENCH_PR6.
+  popularity (one hot matrix takes most requests), the scenario of the
+  ``repro serve --require-speedup`` gate and the ``serve_*`` benchmark
+  workloads.
 
 Traces reference matrices by suite name; the caller supplies the loaded
 :class:`~repro.sparse.coo.COOMatrix` objects (so trace generation and

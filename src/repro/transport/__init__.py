@@ -16,12 +16,9 @@ implementations behind it:
   gets are direct reads of the owner's segment driven by the plan's
   cached :class:`~repro.core.formats.TransferSchedule` offsets, and
   per-rank ``perf_counter`` clocks feed a wall-clock telemetry lane.
-* :class:`~repro.transport.mpi.MpiTransport` — an ``mpi4py``-backed
-  stub behind the same protocol; unavailable (and cleanly skipped)
-  when the dependency is absent.
 
 ``get_transport(name)`` resolves a CLI/config token into one of the
-above.  Executor-style transports (shm, mpi) expose
+above.  Executor-style transports (shm) expose
 ``run_algorithm(algorithm, A, B, machine, ...)``; the simulator is a
 data-plane class that ``DistSpMMAlgorithm.run`` instantiates inline.
 """
@@ -32,7 +29,7 @@ from .base import Transport, TransportError, TransportUnavailable
 from .sim import SimTransport
 
 #: Public transport tokens, in preference order.
-TRANSPORT_NAMES = ("sim", "shm", "mpi")
+TRANSPORT_NAMES = ("sim", "shm")
 
 
 def transport_names():
@@ -44,7 +41,7 @@ def get_transport(name):
     """Resolve a transport token or instance.
 
     Args:
-        name: ``"sim"`` / ``"shm"`` / ``"mpi"``, ``None`` (= sim), or
+        name: ``"sim"`` / ``"shm"``, ``None`` (= sim), or
             an already-constructed transport object (returned as-is,
             so callers can pass a configured
             :class:`~repro.transport.shm.ShmTransport`).
@@ -57,7 +54,7 @@ def get_transport(name):
     Raises:
         TransportError: unknown token.
         TransportUnavailable: the backend cannot run here (raised on
-            use for mpi/shm, not at resolution time).
+            use for shm, not at resolution time).
     """
     if name is None:
         return SimTransport
@@ -70,10 +67,6 @@ def get_transport(name):
         from .shm import ShmTransport
 
         return ShmTransport()
-    if token == "mpi":
-        from .mpi import MpiTransport
-
-        return MpiTransport()
     raise TransportError(
         f"unknown transport {name!r}; pick one of {TRANSPORT_NAMES}"
     )

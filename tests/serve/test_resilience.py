@@ -1,5 +1,7 @@
 """Unit tests for the fault-tolerant replicated serving tier."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ def chaos_faults(intensity=0.5, seed=0, crash=None):
     )
 
 
+def effective_p99(report):
+    """p99 latency over every submitted request; unserved = infinite."""
+    latencies = sorted(
+        o.latency if o.status == DONE else math.inf
+        for o in report.outcomes
+    )
+    return latencies[max(0, math.ceil(0.99 * len(latencies)) - 1)]
+
+
 def fault_free_reference(machine, matrices, trace, classify_k=None):
     policy = ServePolicy(max_fused_k=64, max_batch_delay=0.05,
                          max_queue_depth=256, classify_k=classify_k)
@@ -130,6 +141,16 @@ class TestChaosRecovery:
         for o in res.outcomes:
             if o.status == DONE:
                 assert o.C.tobytes() == ref_bytes[o.request_id]
+        # A lone executor under the same chaos has nowhere to route
+        # around it: the fleet serves more, with a strictly better tail
+        # over all submitted requests (a failed one counts as never
+        # served).
+        single = resilient(
+            machine, matrices, faults=chaos_faults(0.5, seed=2),
+            n_replicas=1, max_retries=0,
+        ).serve(trace)
+        assert res.availability >= single.availability
+        assert effective_p99(res) < effective_p99(single)
 
     def test_certain_crash_without_retries_fails(self, machine, matrices):
         trace = [request_at(i, 0.0) for i in range(4)]
@@ -203,6 +224,7 @@ class TestDeterminism:
         four = self.run_width(monkeypatch, matrices, trace, 4)
         assert one.counter_trace() == four.counter_trace()
         assert one.replica_stats == four.replica_stats
+        assert one.serving_summary() == four.serving_summary()
         for a, b in zip(one.outcomes, four.outcomes):
             assert a.status == b.status
             assert a.replica == b.replica
@@ -330,6 +352,30 @@ class TestSLOAdmission:
         assert {o.request_id for o in done} >= {0, 1, 2, 3}
         summary = res.serving_summary()
         assert summary["rejected_shed"] == len(shed)
+
+    def test_shed_request_keeps_its_arrival_in_the_makespan(
+        self, machine, matrices
+    ):
+        # The earliest arrival is an unprotected request that protected
+        # work behind it pushes out: the makespan still starts at its
+        # arrival, not at the instant it was shed.
+        trace = [request_at(0, 0.0, priority=0)] + [
+            request_at(i, 0.01, priority=1) for i in (1, 2, 3)
+        ]
+        res = resilient(
+            machine, matrices,
+            policy_kwargs=dict(max_queue_depth=4),
+            n_replicas=1, shed_queue_fraction=0.5,
+        ).serve(trace)
+        shed = res.outcomes[0]
+        assert shed.reject_reason is RejectReason.SHED
+        assert shed.completion - shed.latency == 0.0
+        done = [o for o in res.outcomes if o.status == DONE]
+        assert [o.request_id for o in done] == [1, 2, 3]
+        summary = res.serving_summary()
+        last = max(o.completion for o in done)
+        assert summary["makespan"] == last
+        assert summary["requests_per_sec"] == 3 / last
 
     def test_queue_full_rejection_reason(self, machine, matrices):
         trace = self.burst(6)

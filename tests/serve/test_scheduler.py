@@ -130,6 +130,15 @@ class TestBatching:
         ).serve(trace)
         assert len(report.batches) == 1
         assert report.batches[0].dispatched == 0.0
+        # A saturating burst served fused has a tail no worse than the
+        # same burst served one request at a time.
+        serial = scheduler(
+            machine, matrices, max_batch_delay=10.0
+        ).serve(trace, fuse=False)
+        assert (
+            report.serving_summary()["p99_latency"]
+            <= serial.serving_summary()["p99_latency"]
+        )
 
     def test_under_cap_waits_for_batch_delay(self, machine, matrices):
         # A late joiner inside the delay window fuses with the first;

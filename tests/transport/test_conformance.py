@@ -278,14 +278,3 @@ def test_shm_rejects_unknown_algorithm(problem):
     with pytest.raises(TransportError):
         Oddball().run(A, B, machine, transport="shm")
 
-
-def test_mpi_transport_is_stub(problem):
-    from repro.transport import TransportUnavailable
-    from repro.transport.mpi import HAVE_MPI4PY, MpiTransport
-
-    A, B, machine = problem
-    if HAVE_MPI4PY:
-        pytest.skip("mpi4py present; stub-behaviour test not applicable")
-    assert not MpiTransport.available()
-    with pytest.raises(TransportUnavailable):
-        TwoFace().run(A, B, machine, transport="mpi")
