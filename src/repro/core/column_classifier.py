@@ -25,6 +25,7 @@ import numpy as np
 
 from ..dist.matrices import DistSparseMatrix
 from ..errors import ConfigurationError
+from ..sparse.coo import sorted_distinct
 from .stripes import StripeGeometry, compute_rank_stripe_stats
 
 
@@ -47,7 +48,7 @@ def stripe_fanouts(
         slab = A.slab(rank)
         if slab.nnz == 0:
             continue
-        gids = np.unique(geometry.stripes_of_cols(slab.cols))
+        gids = sorted_distinct(geometry.stripes_of_cols(slab.cols))
         fanout[gids] += 1
     return fanout
 

@@ -22,12 +22,7 @@ from ..errors import FormatError
 from ..sparse.binary_io import read_arrays, write_arrays
 from ..sparse.csr import CSRMatrix
 from .classifier import RankClassification
-from .formats import (
-    AsyncStripeMatrix,
-    RankProgram,
-    SyncLocalMatrix,
-    TransferSchedule,
-)
+from .formats import AsyncStripeMatrix, RankProgram, SyncLocalMatrix
 from .model import CostCoefficients
 from .plan import RankPlan, TwoFacePlan
 from .stripes import StripeGeometry
@@ -41,10 +36,11 @@ _PathLike = Union[str, os.PathLike]
 #: consumed by the segmented scatter kernel; version 4 extends ``meta``
 #: with the process-grid shape (layout code, p_r, depth) so a plan
 #: built for one layer of a 1.5D/2D grid cannot be replayed under a
-#: different layout.  Older containers still load — v1/v2 rebuild the
-#: missing schedules once at load time, and anything pre-v4 loads as
-#: the plain 1D layout.  The version also feeds the plan-cache key, so
-#: bumping it invalidates every previously cached plan automatically.
+#: different layout.  Only the current version loads: an older
+#: container is rejected with a ``FormatError`` naming its version.  The
+#: version also feeds the plan-cache key, so bumping it invalidates
+#: every previously cached plan automatically (an old entry that is
+#: looked up anyway is deleted as corrupt and rebuilt).
 PLAN_FORMAT_VERSION = 4
 
 
@@ -180,19 +176,18 @@ def load_plan(path_or_file: Union[_PathLike, IO[bytes]]) -> TwoFacePlan:
     except KeyError:
         raise FormatError("container does not hold a Two-Face plan") from None
     version = int(meta[0])
-    if not 1 <= version <= PLAN_FORMAT_VERSION:
+    if version != PLAN_FORMAT_VERSION:
         raise FormatError(
             f"unsupported plan format version {version} "
-            f"(expected <= {PLAN_FORMAT_VERSION})"
+            f"(only version {PLAN_FORMAT_VERSION} loads; rebuild the plan)"
         )
     n_rows, n_cols, n_parts, width, k, panel_height = (
         int(v) for v in meta[1:7]
     )
+    layout_code, grid_p_r, grid_depth = (int(v) for v in meta[7:10])
     grid = None
-    if version >= 4:
-        layout_code, grid_p_r, grid_depth = (int(v) for v in meta[7:10])
-        if layout_code != GRID_LAYOUT_CODES["1d"] or grid_depth != 1:
-            grid = grid_from_code(layout_code, grid_p_r, grid_depth)
+    if layout_code != GRID_LAYOUT_CODES["1d"] or grid_depth != 1:
+        grid = grid_from_code(layout_code, grid_p_r, grid_depth)
     geometry = StripeGeometry(n_rows, n_cols, n_parts, width)
     c = arrays["coeffs"]
     coeffs = CostCoefficients(
@@ -210,10 +205,10 @@ def load_plan(path_or_file: Union[_PathLike, IO[bytes]]) -> TwoFacePlan:
     }
 
     ranks = [
-        _unpack_rank(arrays, f"r{rank}", rank, panel_height, version)
+        _unpack_rank(arrays, f"r{rank}", rank, panel_height)
         for rank in range(n_parts)
     ]
-    plan = TwoFacePlan(
+    return TwoFacePlan(
         geometry=geometry,
         coeffs=coeffs,
         k=k,
@@ -222,20 +217,10 @@ def load_plan(path_or_file: Union[_PathLike, IO[bytes]]) -> TwoFacePlan:
         stripe_destinations=destinations,
         grid=grid,
     )
-    if version < PLAN_FORMAT_VERSION:
-        # Older containers predate some cached schedule (v1: transfer
-        # schedules, v2: reduce schedules); build whatever is missing
-        # once here so execution still runs fully cached.
-        plan.ensure_finalized()
-    return plan
 
 
 def _unpack_rank(
-    arrays: Dict[str, np.ndarray],
-    prefix: str,
-    rank: int,
-    panel_height: int,
-    version: int = PLAN_FORMAT_VERSION,
+    arrays: Dict[str, np.ndarray], prefix: str, rank: int, panel_height: int
 ) -> RankPlan:
     try:
         shape = tuple(int(v) for v in arrays[f"{prefix}.sync.shape"])
@@ -256,43 +241,25 @@ def _unpack_rank(
         *(arrays[f"{prefix}.async.{name}"] for name in ("rows", "cols", "vals")),
         shape,
     )
-    stripes = async_matrix.stripes
-    if version >= 3:
-        # The container stores the schedules rank-concatenated — which
-        # is the rank program; the stripes get views into it.
-        async_matrix.adopt_program(
-            RankProgram(
-                n_rows=shape[0],
-                owners=owners,
-                nnz_ptr=ptrs,
-                row_ptr=arrays[f"{prefix}.async.fetched_ptrs"],
-                chunk_ptr=arrays[f"{prefix}.async.chunk_ptrs"],
-                seg_ptr=arrays[f"{prefix}.async.seg_ptrs"],
-                chunk_offsets=arrays[f"{prefix}.async.chunk_offsets"],
-                chunk_sizes=arrays[f"{prefix}.async.chunk_sizes"],
-                fetched_ids=arrays[f"{prefix}.async.fetched_ids"],
-                packed=arrays[f"{prefix}.async.packed"],
-                order=arrays[f"{prefix}.async.order"],
-                seg_starts=arrays[f"{prefix}.async.seg_starts"],
-                out_rows=arrays[f"{prefix}.async.out_rows"],
-            )
+    # The container stores the schedules rank-concatenated — which is
+    # the rank program; the stripes get views into it.
+    async_matrix.adopt_program(
+        RankProgram(
+            n_rows=shape[0],
+            owners=owners,
+            nnz_ptr=ptrs,
+            row_ptr=arrays[f"{prefix}.async.fetched_ptrs"],
+            chunk_ptr=arrays[f"{prefix}.async.chunk_ptrs"],
+            seg_ptr=arrays[f"{prefix}.async.seg_ptrs"],
+            chunk_offsets=arrays[f"{prefix}.async.chunk_offsets"],
+            chunk_sizes=arrays[f"{prefix}.async.chunk_sizes"],
+            fetched_ids=arrays[f"{prefix}.async.fetched_ids"],
+            packed=arrays[f"{prefix}.async.packed"],
+            order=arrays[f"{prefix}.async.order"],
+            seg_starts=arrays[f"{prefix}.async.seg_starts"],
+            out_rows=arrays[f"{prefix}.async.out_rows"],
         )
-    elif version == 2:
-        chunk_ptrs = arrays[f"{prefix}.async.chunk_ptrs"]
-        chunk_offsets = arrays[f"{prefix}.async.chunk_offsets"]
-        chunk_sizes = arrays[f"{prefix}.async.chunk_sizes"]
-        fetched_ptrs = arrays[f"{prefix}.async.fetched_ptrs"]
-        fetched_ids = arrays[f"{prefix}.async.fetched_ids"]
-        packed = arrays[f"{prefix}.async.packed"]
-        for i, stripe in enumerate(stripes):
-            c_lo, c_hi = int(chunk_ptrs[i]), int(chunk_ptrs[i + 1])
-            f_lo, f_hi = int(fetched_ptrs[i]), int(fetched_ptrs[i + 1])
-            stripe.schedule = TransferSchedule(
-                chunk_offsets=chunk_offsets[c_lo:c_hi],
-                chunk_sizes=chunk_sizes[c_lo:c_hi],
-                fetched_ids=fetched_ids[f_lo:f_hi],
-                packed=packed[int(ptrs[i]):int(ptrs[i + 1])],
-            )
+    )
 
     masks = arrays[f"{prefix}.cls.masks"]
     half = len(masks) // 2

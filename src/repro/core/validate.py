@@ -16,6 +16,7 @@ import numpy as np
 
 from ..dist.matrices import DistSparseMatrix
 from ..errors import PartitionError
+from ..sparse.coo import sorted_distinct
 from .plan import TwoFacePlan
 
 
@@ -72,7 +73,7 @@ def validate_plan(plan: TwoFacePlan) -> List[str]:
                 problems.append(f"{sid}: nonzero outside column range")
             if stripe.nonzeros.nnz == 0:
                 problems.append(f"{sid}: empty async stripe stored")
-            expected_ids = np.unique(cols)
+            expected_ids = sorted_distinct(cols.copy())
             if not np.array_equal(stripe.row_ids, expected_ids):
                 problems.append(f"{sid}: row_ids do not match nonzeros")
             if stripe.nonzeros.nnz and stripe.nonzeros.rows.max() >= slab_rows:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sparse.coo import COOMatrix
+from ..sparse.coo import COOMatrix, distinct_coords
 
 
 @dataclass
@@ -106,9 +106,7 @@ def planted_partition(
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
     keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    keys = np.unique(rows * n + cols)
-    rows, cols = keys // n, keys % n
+    rows, cols = distinct_coords(rows[keep], cols[keep], (n, n))
     adjacency = COOMatrix(
         rows, cols, np.ones(len(rows)), (n, n)
     )

@@ -28,6 +28,43 @@ def stable_argsort(key: np.ndarray) -> np.ndarray:
     return order
 
 
+def fused_key_overflows(shape: Tuple[int, int]) -> bool:
+    """Whether ``major * minor_extent + minor`` over a ``shape`` matrix
+    can exceed int64 — the cut-over to ``np.lexsort`` of the two keys."""
+    return shape[0] * shape[1] >= 2**63
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The ascending distinct values of an integer array, as
+    ``np.unique`` returns them, by one in-place sort and an
+    adjacent-difference mask.  ``keys`` is the caller's scratch: it is
+    left sorted.  (numpy >= 2.3 answers ``np.unique`` of integers from
+    a hash table, 20-60x slower than the sort on coordinate keys.)"""
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def distinct_coords(
+    rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(row, col)`` pairs of coordinates inside ``shape``,
+    in ascending row-major order: one fused key ``row * n_cols + col``
+    through :func:`sorted_distinct`, split by one ``np.divmod``; the
+    pairs ``np.lexsort``-ed instead when that key would overflow."""
+    if fused_key_overflows(shape):
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        return rows[keep], cols[keep]
+    key = np.multiply(rows, shape[1], dtype=np.int64)
+    key += cols
+    return np.divmod(sorted_distinct(key), shape[1])
+
+
 @dataclass
 class COOMatrix:
     """A sparse matrix in coordinate format.
@@ -162,7 +199,7 @@ class COOMatrix:
         major, minor = (
             (self.cols, self.rows) if col_major else (self.rows, self.cols)
         )
-        if self.shape[0] * self.shape[1] >= 2**63:  # fused key overflows
+        if fused_key_overflows(self.shape):
             return np.lexsort((minor, major))
         return stable_argsort(
             major * self.shape[0 if col_major else 1] + minor

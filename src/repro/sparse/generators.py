@@ -19,7 +19,13 @@ targets one structural *class*, because which communication flavour wins
   stripes are needed by most nodes.
 
 All generators take an explicit ``seed`` and are deterministic for a
-given argument tuple.
+given argument tuple.  Each draws coordinates, keeps the distinct ones
+in ascending (row, col) order with
+:func:`~repro.sparse.coo.distinct_coords` (one fused int64 key built
+in place, sorted in place, split by one ``np.divmod``; ``np.lexsort``
+when ``n_rows * n_cols`` overflows int64), and only then draws values
+from the same generator.  ``np.unique`` is not used: on numpy >= 2.3
+it hashes integer keys, 20-60x slower than the sort here.
 """
 
 from __future__ import annotations
@@ -29,29 +35,22 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .coo import COOMatrix
+from .coo import COOMatrix, distinct_coords
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _dedupe(rows: np.ndarray, cols: np.ndarray, n: int, m: int) -> COOMatrix:
-    """Build a COO matrix with unit values and duplicates removed."""
-    keys = rows * m + cols
-    unique_keys = np.unique(keys)
-    rows = unique_keys // m
-    cols = unique_keys % m
-    vals = np.ones(len(rows), dtype=np.float64)
-    return COOMatrix(rows, cols, vals, (n, m))
-
-
-def _with_values(
-    matrix: COOMatrix, rng: np.random.Generator
+def _dedupe(
+    rows: np.ndarray, cols: np.ndarray, n: int, m: int,
+    rng: np.random.Generator,
 ) -> COOMatrix:
-    """Replace unit values with uniform(0.1, 1.0) values."""
-    vals = rng.uniform(0.1, 1.0, size=matrix.nnz)
-    return COOMatrix(matrix.rows, matrix.cols, vals, matrix.shape)
+    """The ``n x m`` matrix of the distinct drawn coordinates, row-major,
+    with uniform(0.1, 1.0) values drawn from ``rng`` afterwards."""
+    rows, cols = distinct_coords(rows, cols, (n, m))
+    vals = rng.uniform(0.1, 1.0, size=len(rows))
+    return COOMatrix(rows, cols, vals, (n, m))
 
 
 def erdos_renyi(
@@ -67,7 +66,7 @@ def erdos_renyi(
     rng = _rng(seed)
     rows = rng.integers(0, n_rows, size=nnz)
     cols = rng.integers(0, n_cols, size=nnz)
-    return _with_values(_dedupe(rows, cols, n_rows, n_cols), rng)
+    return _dedupe(rows, cols, n_rows, n_cols, rng)
 
 
 def uniform_random(
@@ -105,7 +104,7 @@ def banded(
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([rows, diag])
     cols = np.concatenate([cols, diag])
-    return _with_values(_dedupe(rows, cols, n, n), rng)
+    return _dedupe(rows, cols, n, n, rng)
 
 
 def block_local_power_law(
@@ -150,7 +149,7 @@ def block_local_power_law(
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([rows, diag])
     cols = np.concatenate([cols, diag])
-    return _with_values(_dedupe(rows, cols, n, n), rng)
+    return _dedupe(rows, cols, n, n, rng)
 
 
 def zipf_column_sample(
@@ -230,7 +229,7 @@ def hub_skewed(
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([rows, diag])
     cols = np.concatenate([cols, diag])
-    return _with_values(_dedupe(rows, cols, n, n), rng)
+    return _dedupe(rows, cols, n, n, rng)
 
 
 def rmat(
@@ -274,7 +273,7 @@ def rmat(
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([rows, diag])
     cols = np.concatenate([cols, diag])
-    return _with_values(_dedupe(rows, cols, n, n), rng)
+    return _dedupe(rows, cols, n, n, rng)
 
 
 def diagonal(n: int, value: float = 1.0) -> COOMatrix:

@@ -49,7 +49,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from .coo import COOMatrix
+from .coo import COOMatrix, sorted_distinct
 from .csr import CSRMatrix
 
 try:  # scipy's C segment-sum kernel (Yx += A @ Xx, fixed index order)
@@ -546,13 +546,13 @@ def spmm_column_major(
     return KernelStats(
         nnz_processed=A.nnz,
         atomic_ops=A.nnz,
-        rows_written=int(len(np.unique(A.rows))),
+        rows_written=len(sorted_distinct(A.rows.copy())),
     )
 
 
 def unique_col_ids(A: COOMatrix) -> np.ndarray:
     """Sorted unique column ids of ``A``'s nonzeros (``UniqueColIDs``)."""
-    return np.unique(A.cols)
+    return sorted_distinct(A.cols.copy())
 
 
 def coalesce_row_ids(

@@ -191,6 +191,34 @@ class TestDiskLayer:
         assert cache.get("bad") is None
         assert stats.invalidations == 1
 
+    def test_old_version_entry_invalidated(self, dist_matrix, tmp_path):
+        """A pre-current-format container under a live key is dropped
+        and rebuilt, not fatal."""
+        from repro.sparse import read_arrays, write_arrays
+
+        stats = PlanCacheStats()
+        cache = PlanCache(
+            cache_dir=tmp_path, max_memory_entries=0, stats=stats
+        )
+        plan, _ = preprocess(dist_matrix, k=16, stripe_width=4)
+        key = plan_cache_key(dist_matrix, 16, 4)
+        cache.put(key, plan)
+        path = cache.entry_path(key)
+        arrays = read_arrays(path)
+        arrays["meta"] = arrays["meta"][:7].copy()
+        arrays["meta"][0] = 3
+        write_arrays(arrays, path)
+
+        assert cache.get(key) is None
+        assert stats.invalidations == 1
+        assert stats.misses == 1
+        assert not path.exists()
+        rebuilt, _ = cached_preprocess(
+            dist_matrix, k=16, stripe_width=4, cache=cache
+        )
+        assert plan_digest(rebuilt) == plan_digest(plan)
+        assert cache.get(key) is not None
+
     def test_clear_disk(self, dist_matrix, tmp_path):
         cache = PlanCache(cache_dir=tmp_path, stats=PlanCacheStats())
         plan, _ = preprocess(dist_matrix, k=16, stripe_width=4)

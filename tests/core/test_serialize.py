@@ -211,38 +211,6 @@ class TestScheduleRoundtrip:
             assert a.async_comp == b.async_comp
             assert a.other == b.other
 
-    def test_version1_container_still_loads(self, plan):
-        """A pre-schedule (v1) container loads and is finalised once."""
-        from repro.sparse import read_arrays
-
-        buf = io.BytesIO()
-        save_plan(plan, buf)
-        buf.seek(0)
-        arrays = read_arrays(buf)
-        v2_only = (
-            ".async.chunk_ptrs", ".async.chunk_offsets",
-            ".async.chunk_sizes", ".async.fetched_ptrs",
-            ".async.fetched_ids", ".async.packed",
-        )
-        arrays = {
-            key: val for key, val in arrays.items()
-            if not key.endswith(v2_only)
-        }
-        arrays["meta"] = arrays["meta"].copy()
-        arrays["meta"][0] = 1
-        buf2 = io.BytesIO()
-        write_arrays(arrays, buf2)
-        buf2.seek(0)
-        again = load_plan(buf2)
-        assert again.finalized
-        for rank in range(plan.n_nodes):
-            a = plan.rank_plan(rank).async_matrix
-            b = again.rank_plan(rank).async_matrix
-            for sa, sb in zip(a.stripes, b.stripes):
-                np.testing.assert_array_equal(
-                    sa.schedule.fetched_ids, sb.schedule.fetched_ids
-                )
-
     def test_unfinalized_stripe_rejected_at_pack(self, plan):
         from repro.core.serialize import _pack_rank
 
@@ -282,75 +250,6 @@ class TestReduceScheduleRoundtrip:
                 sa.reduce_schedule.out_rows, sb.reduce_schedule.out_rows
             )
 
-    def test_version2_container_still_loads(self, plan):
-        """A pre-reduce (v2) container loads, rebuilding the reduce
-        schedules once at load time — the v2→v3 migration path."""
-        from repro.sparse import read_arrays
-
-        buf = io.BytesIO()
-        save_plan(plan, buf)
-        buf.seek(0)
-        arrays = read_arrays(buf)
-        v3_only = (
-            ".async.order", ".async.seg_ptrs",
-            ".async.seg_starts", ".async.out_rows",
-        )
-        arrays = {
-            key: val for key, val in arrays.items()
-            if not key.endswith(v3_only)
-        }
-        arrays["meta"] = arrays["meta"].copy()
-        arrays["meta"][0] = 2
-        buf2 = io.BytesIO()
-        write_arrays(arrays, buf2)
-        buf2.seek(0)
-        again = load_plan(buf2)
-        assert again.finalized
-        for sa, sb in _stripe_pairs(plan, again):
-            # v2 transfer schedules must load untouched...
-            np.testing.assert_array_equal(
-                sa.schedule.packed, sb.schedule.packed
-            )
-            # ...and the rebuilt reduce schedules must equal the
-            # plan-time originals (pure geometry of nonzeros.rows).
-            np.testing.assert_array_equal(
-                sa.reduce_schedule.order, sb.reduce_schedule.order
-            )
-            np.testing.assert_array_equal(
-                sa.reduce_schedule.seg_starts, sb.reduce_schedule.seg_starts
-            )
-            np.testing.assert_array_equal(
-                sa.reduce_schedule.out_rows, sb.reduce_schedule.out_rows
-            )
-
-    def test_v2_to_v3_resave_digest_fixpoint(self, plan):
-        """Loading a v2 container and re-saving lands exactly on the
-        v3 serialisation of the original plan."""
-        from repro.sparse import read_arrays
-
-        buf = io.BytesIO()
-        save_plan(plan, buf)
-        v3_bytes = buf.getvalue()
-        buf.seek(0)
-        arrays = read_arrays(buf)
-        v3_only = (
-            ".async.order", ".async.seg_ptrs",
-            ".async.seg_starts", ".async.out_rows",
-        )
-        arrays = {
-            key: val for key, val in arrays.items()
-            if not key.endswith(v3_only)
-        }
-        arrays["meta"] = arrays["meta"].copy()
-        arrays["meta"][0] = 2
-        buf2 = io.BytesIO()
-        write_arrays(arrays, buf2)
-        buf2.seek(0)
-        migrated = load_plan(buf2)
-        buf3 = io.BytesIO()
-        save_plan(migrated, buf3)
-        assert buf3.getvalue() == v3_bytes
-
     def test_missing_reduce_schedule_rejected_at_pack(self, plan):
         from repro.core.serialize import _pack_rank
 
@@ -384,22 +283,6 @@ class TestReduceScheduleRoundtrip:
 class TestGridRoundtrip:
     """Version 4: the process-grid layout travels with the plan."""
 
-    def _strip_to_v3(self, plan):
-        """Serialise ``plan`` and rewrite the container as v3."""
-        from repro.sparse import read_arrays
-
-        buf = io.BytesIO()
-        save_plan(plan, buf)
-        buf.seek(0)
-        arrays = read_arrays(buf)
-        # v3's meta held 7 ints; v4 appended layout_code/p_r/depth.
-        arrays["meta"] = arrays["meta"][:7].copy()
-        arrays["meta"][0] = 3
-        buf2 = io.BytesIO()
-        write_arrays(arrays, buf2)
-        buf2.seek(0)
-        return buf2
-
     def test_grid_preserved(self, plan):
         from dataclasses import replace as dc_replace
 
@@ -420,31 +303,6 @@ class TestGridRoundtrip:
         # keeping the digest a fixpoint.
         assert again.grid is None
         assert again.grid_spec == Grid1D(plan.geometry.n_parts)
-
-    def test_version3_container_loads_as_grid1d(self, plan):
-        """A pre-grid (v3) container loads with the 1D layout — the
-        v3→v4 migration path."""
-        from repro.dist.grid import Grid1D
-
-        again = load_plan(self._strip_to_v3(plan))
-        assert again.grid is None
-        assert again.grid_spec == Grid1D(plan.geometry.n_parts)
-        assert again.finalized
-        for sa, sb in _stripe_pairs(plan, again):
-            np.testing.assert_array_equal(
-                sa.schedule.packed, sb.schedule.packed
-            )
-
-    def test_v3_to_v4_resave_digest_fixpoint(self, plan):
-        """Loading a v3 container and re-saving lands exactly on the
-        v4 serialisation of the original plan."""
-        buf = io.BytesIO()
-        save_plan(plan, buf)
-        v4_bytes = buf.getvalue()
-        migrated = load_plan(self._strip_to_v3(plan))
-        buf2 = io.BytesIO()
-        save_plan(migrated, buf2)
-        assert buf2.getvalue() == v4_bytes
 
     def test_gridded_plan_digest_differs(self, plan):
         from dataclasses import replace as dc_replace
@@ -484,6 +342,26 @@ class TestErrors:
         write_arrays({"something": np.zeros(3, dtype=np.int64)}, path)
         with pytest.raises(FormatError):
             load_plan(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pre_v4_container_rejected(self, plan, version):
+        """Containers older than the current format are refused by
+        name, not migrated: the plan-cache key carries the version, so
+        they are never looked up, and a stray one is rebuilt."""
+        from repro.sparse import read_arrays
+
+        buf = io.BytesIO()
+        save_plan(plan, buf)
+        buf.seek(0)
+        arrays = read_arrays(buf)
+        # v1-v3 meta held 7 ints; v4 appended layout_code/p_r/depth.
+        arrays["meta"] = arrays["meta"][:7].copy()
+        arrays["meta"][0] = version
+        buf2 = io.BytesIO()
+        write_arrays(arrays, buf2)
+        buf2.seek(0)
+        with pytest.raises(FormatError, match=f"version {version} "):
+            load_plan(buf2)
 
     def test_bad_version(self, plan):
         buf = io.BytesIO()

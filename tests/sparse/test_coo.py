@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FormatError, ShapeError
 from repro.sparse import COOMatrix, erdos_renyi
+from repro.sparse.coo import distinct_coords, sorted_distinct
 
 
 class TestConstruction:
@@ -194,3 +197,44 @@ class TestIteration:
         a = erdos_renyi(32, 32, 100, seed=5)
         b = erdos_renyi(32, 32, 100, seed=5)
         assert a == b
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestSortedDistinct:
+    """The generators' distinct-keys kernel against ``np.unique``."""
+
+    @pytest.mark.parametrize("keys", [
+        [], [5], [7] * 9, [-(2**63), 2**63 - 1, 0, 2**63 - 1],
+    ], ids=["empty", "single", "all-equal", "extremes"])
+    def test_edge_cases(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        out = sorted_distinct(keys.copy())
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, np.unique(keys))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_INT64, max_size=64), st.lists(
+        st.integers(-3, 3), max_size=64
+    ))
+    def test_equals_np_unique(self, wide, narrow):
+        # Narrow draws force duplicates, wide ones reach the int64 ends.
+        keys = np.array(wide + narrow, dtype=np.int64)
+        np.testing.assert_array_equal(
+            sorted_distinct(keys.copy()), np.unique(keys)
+        )
+
+
+class TestDistinctCoords:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40
+    ))
+    def test_fused_and_lexsort_paths_agree(self, pairs):
+        rows = np.array([r for r, _ in pairs], dtype=np.int64)
+        cols = np.array([c for _, c in pairs], dtype=np.int64)
+        expected = sorted(set(pairs))
+        for shape in [(8, 6), (2**32, 2**31)]:  # fused key; overflow
+            r, c = distinct_coords(rows, cols, shape)
+            assert list(zip(r.tolist(), c.tolist())) == expected
