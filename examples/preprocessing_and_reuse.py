@@ -99,7 +99,7 @@ def main() -> None:
         f"{report.modeled_seconds:.3f} s -> amortised after "
         f"~{report.modeled_seconds / (total / 5):.0f} operations of "
         "these savings-free runs (vs a baseline it is far fewer; see "
-        "benchmarks/bench_table6_preprocessing.py)."
+        "the table6 row of benchmarks/paper.py)."
     )
 
 

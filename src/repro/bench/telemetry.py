@@ -1,14 +1,15 @@
-"""Machine-readable performance telemetry (``BENCH_PR1.json`` et al.).
+"""Machine-readable performance telemetry (the CLI's ``--out`` JSON).
 
-Benchmarks that want a perf trajectory future PRs can regress against
-record per-cell host wall seconds, simulated seconds, and transfer-cache
-counters into a :class:`PerfLog` and write one JSON document.  The
-schema (see the README's "Benchmark telemetry" section):
+Commands that report a perf record (``repro chaos``, ``serve``,
+``grid-sweep``, ``tune``) collect per-cell host wall seconds, simulated
+seconds, and transfer-cache counters into a :class:`PerfLog` and write
+one JSON document.  The schema (see the README's "Benchmark telemetry"
+section):
 
 ```
 {
   "schema": "repro-perf/10",
-  "label": "<free-form document label, e.g. BENCH_PR4>",
+  "label": "<free-form document label, e.g. chaos-web-TwoFace>",
   "cells": [
     {"schema": "repro-perf/10",
      "name": ..., "matrix": ..., "algorithm": ..., "k": ...,

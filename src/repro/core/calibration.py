@@ -213,90 +213,3 @@ def calibrate(
         A, machine, k=k, stripe_widths=stripe_widths
     )
     return fit_coefficients(observations)
-
-
-# ----------------------------------------------------------------------
-# Wall-clock model for executor transports (docs/transports.md)
-# ----------------------------------------------------------------------
-@dataclass
-class WallObservation:
-    """One measured shm-transport run for the wall-clock regression.
-
-    ``bytes_moved`` is the run's total simulated traffic (the analytic
-    counters the transport mirrors — identical to the simulator's) and
-    ``flops`` is ``2 * nnz * k``; ``wall_seconds`` is the measured
-    worker makespan.
-    """
-
-    matrix: str
-    algorithm: str
-    k: int
-    processes: int
-    bytes_moved: int
-    flops: int
-    wall_seconds: float
-
-
-@dataclass
-class WallModel:
-    """``wall ~ alpha + beta * bytes_moved + gamma * flops``.
-
-    The same alpha-beta shape the paper fits for the simulated machine
-    (§6.2), re-targeted at a real data plane: ``alpha`` absorbs fixed
-    per-run overhead (fork, barriers, segment setup), ``beta`` the
-    effective seconds per byte through shared memory, ``gamma`` the
-    seconds per flop of the local kernels.  Coefficients are clamped
-    non-negative like :func:`fit_coefficients`.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def predict(self, bytes_moved: int, flops: int) -> float:
-        """Predicted wall seconds for one run."""
-        return (
-            self.alpha
-            + self.beta * float(bytes_moved)
-            + self.gamma * float(flops)
-        )
-
-    def relative_error(self, obs: "WallObservation") -> float:
-        """``|predicted - measured| / measured`` for one observation."""
-        if obs.wall_seconds <= 0.0:
-            raise CalibrationError(
-                f"non-positive wall_seconds for {obs.matrix}: "
-                f"{obs.wall_seconds}"
-            )
-        predicted = self.predict(obs.bytes_moved, obs.flops)
-        return abs(predicted - obs.wall_seconds) / obs.wall_seconds
-
-
-def fit_wall_model(
-    observations: Sequence[WallObservation],
-) -> WallModel:
-    """Least-squares fit of the wall-clock model over measured runs.
-
-    Needs at least three observations (three unknowns).  Degenerate
-    designs (e.g. every run moving identical byte counts) fall back to
-    the dominant-regressor fit the same way :func:`_fit_two_term`
-    does, by dropping the collinear column.
-    """
-    if len(observations) < 3:
-        raise CalibrationError(
-            f"need >= 3 wall observations, got {len(observations)}"
-        )
-    ones = np.ones(len(observations), dtype=np.float64)
-    b = np.array([o.bytes_moved for o in observations], np.float64)
-    f = np.array([o.flops for o in observations], np.float64)
-    y = np.array([o.wall_seconds for o in observations], np.float64)
-    X = np.stack([ones, b, f], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < 3:
-        beta, alpha = _fit_two_term(b, ones, y, "wall clock")
-        return WallModel(alpha=alpha, beta=beta, gamma=0.0)
-    return WallModel(
-        alpha=max(float(coef[0]), 0.0),
-        beta=max(float(coef[1]), 0.0),
-        gamma=max(float(coef[2]), 0.0),
-    )

@@ -13,8 +13,8 @@ nodes classify the same column range the same way — unlike the paper's
 per-node rule, which can make stripe column ``g`` synchronous on one
 node and asynchronous on another.
 
-The ``bench_ablation_column_classifier`` benchmark evaluates it against
-the paper's model-based rule.
+The ``ablation_column_classifier`` row of ``benchmarks/paper.py``
+evaluates it against the paper's model-based rule.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from repro.cluster.faults import FaultConfig
 from repro.dist.grid import Grid1D, Grid2D, Grid15D, make_grid
 from repro.errors import PartitionError
 from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
-from repro.sparse import COOMatrix, erdos_renyi, spmm_reference
+from repro.sparse import COOMatrix, erdos_renyi, spmm_reference, suite
 
 N_NODES = 8
 
@@ -174,6 +174,20 @@ class TestGridAccounting:
             flat.traffic.per_node_recv_bytes
         )
         assert rep.seconds < flat.seconds
+
+    def test_layered_allgather_wins_at_256_nodes(self):
+        """At p=256 the 1D allgather moves ~|B| into every rank; the
+        better layered layout is >= 1.5x faster in simulated seconds."""
+        A = suite.load("web", size="tiny")
+        B = np.random.default_rng(1).standard_normal((A.shape[1], 64))
+        machine = MachineConfig(n_nodes=256)
+        flat = AllGather().run(A, B, machine, grid=make_grid("1d", 256))
+        best = min(
+            AllGather().run(A, B, machine, grid=grid).seconds
+            for grid in (make_grid("1.5d", 256, c=4),
+                         make_grid("2d", 256, p_r=16))
+        )
+        assert flat.seconds / best >= 1.5
 
     def test_extras_describe_grid(self, matrix, dense, machine):
         grid = Grid2D(p_r=4, p_c=2)

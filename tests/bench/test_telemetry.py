@@ -1,4 +1,4 @@
-"""Unit tests for the perf-telemetry log (``BENCH_PR1.json`` schema)."""
+"""Unit tests for the perf-telemetry log (the CLI's ``--out`` JSON schema)."""
 
 import math
 

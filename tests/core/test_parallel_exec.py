@@ -121,6 +121,18 @@ def test_pooled_repeated_runs_stay_identical(
     assert first.seconds == second.seconds
 
 
+@pytest.mark.parametrize("make_algorithm", ALGORITHMS)
+def test_one_instance_repeated_runs_identical(
+    make_algorithm, matrix, dense, machine
+):
+    """Two consecutive runs of one algorithm instance (its plan and
+    caches warm after the first) agree bitwise in C and seconds."""
+    algorithm = make_algorithm()
+    first = algorithm.run(matrix, dense, machine)
+    second = algorithm.run(matrix, dense, machine)
+    assert_bit_identical(first, second)
+
+
 def _run_mode(monkeypatch, mode, plan, matrix, dense, machine):
     monkeypatch.setenv(SCATTER_ENV, mode)
     shutdown_exec_pool()

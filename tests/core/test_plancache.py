@@ -16,6 +16,7 @@ from repro.core.plancache import (
     get_plan_cache,
     matrix_content_digest,
     plan_cache_key,
+    plan_cache_stats,
     reset_plan_cache,
     reset_plan_cache_stats,
 )
@@ -230,15 +231,21 @@ class TestDiskLayer:
 
 class TestCachedPreprocess:
     def test_hit_report_matches_cold_report(self, dist_matrix, tmp_path):
+        shared = plan_cache_stats().snapshot()
         cache = PlanCache(cache_dir=tmp_path, stats=PlanCacheStats())
         plan_a, rep_a = cached_preprocess(
             dist_matrix, 16, 4, cache=cache
         )
+        # (hits, misses, evictions, invalidations, stores)
+        assert cache.stats.snapshot() == (0, 1, 0, 0, 1)
         plan_b, rep_b = cached_preprocess(
             dist_matrix, 16, 4, cache=cache
         )
         assert not rep_a.cache_hit
         assert rep_b.cache_hit
+        assert cache.stats.snapshot() == (1, 1, 0, 0, 1)
+        # A private stats sink leaves the process-global counters alone.
+        assert plan_cache_stats().snapshot() == shared
         assert plan_digest(plan_a) == plan_digest(plan_b)
         # Every modelled quantity is identical; only wall clock moves.
         assert rep_a.modeled_seconds == rep_b.modeled_seconds
@@ -260,6 +267,7 @@ class TestCachedPreprocess:
         assert warm_algo.last_report.cache_hit
         np.testing.assert_array_equal(warm.C, cold.C)
         assert warm.seconds == cold.seconds
+        assert warm.breakdown.nodes == cold.breakdown.nodes
 
     def test_none_cache_always_cold(self, dist_matrix):
         _, rep_a = cached_preprocess(dist_matrix, 16, 4, cache=None)

@@ -29,7 +29,14 @@ from repro.core.executor import (
 from repro.dist import DistSparseMatrix, RowPartition
 from repro.errors import CommunicationError, OutOfMemoryError
 from repro.runtime.pool import WORKERS_ENV, get_exec_pool, shutdown_exec_pool
-from repro.sparse import COOMatrix, ScatterStats, erdos_renyi, spmm_reference
+from repro.sparse import (
+    SCATTER_ENV,
+    COOMatrix,
+    ScatterStats,
+    erdos_renyi,
+    scatter_stats,
+    spmm_reference,
+)
 from repro.sparse.ops import build_reduce_order, segmented_reduce_into
 from tests.core.test_plan_construction import oracle_async_matrix
 
@@ -452,6 +459,31 @@ class TestExecutionContracts:
             assert arena_stats().grows == grows
             assert again.C.tobytes() == first.C.tobytes()
         np.testing.assert_allclose(first.C, spmm_reference(kmer_like, B))
+
+    @pytest.mark.parametrize("mode", ["segmented", "atomic"])
+    def test_scatter_kernel_calls_per_execution(
+        self, kmer_like, rng, monkeypatch, mode
+    ):
+        """The segmented kernel runs once per rank tile; the atomic
+        reference once per async stripe."""
+        monkeypatch.setenv(SCATTER_ENV, mode)
+        machine = MachineConfig(n_nodes=N_NODES)
+        dist = DistSparseMatrix(kmer_like, RowPartition(256, N_NODES))
+        plan, _ = preprocess(dist, k=8, stripe_width=8, force_all_async=True)
+        B = rng.standard_normal((256, 8))
+        algo = TwoFace(plan=plan)
+        algo.run(kmer_like, B, machine)
+        before = scatter_stats().snapshot()
+        algo.run(kmer_like, B, machine)
+        after = scatter_stats().snapshot()
+        tiles = sum(
+            len(r.async_matrix.program().tiles(8 * 8)) for r in plan.ranks
+        )
+        calls = (after[0] - before[0], after[1] - before[1])
+        if mode == "segmented":
+            assert calls == (tiles, 0)
+        else:
+            assert calls == (0, plan.total_async_stripes())
 
     def test_widths_1_and_4_bitwise(self, kmer_like, rng, monkeypatch):
         machine = MachineConfig(n_nodes=N_NODES)

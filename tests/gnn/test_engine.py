@@ -7,6 +7,7 @@ from repro import MachineConfig
 from repro.core import reset_transfer_cache_stats, transfer_cache_stats
 from repro.gnn import planted_partition, train_gcn
 from repro.gnn.engine import DistSpMMEngine
+from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.sparse import erdos_renyi
 
 
@@ -62,6 +63,33 @@ class TestEngineScheduleReuse:
         stats = engine.exec_stats()
         assert stats["scatter_segmented"] == 0
         assert stats["scatter_atomic"] > 0
+
+    def test_steady_epoch_allocates_nothing_at_any_width(
+        self, machine, rng, monkeypatch
+    ):
+        """After the first epoch and ``warm_exec_buffers``, an epoch of
+        multiplies grows no arena and recomputes no schedule; outputs
+        and simulated seconds are bitwise equal across pool widths."""
+        A = erdos_renyi(256, 256, 2000, seed=9)
+        B = rng.standard_normal((256, 16))
+        outputs, seconds = [], []
+        for width in ("1", "4"):
+            monkeypatch.setenv(WORKERS_ENV, width)
+            shutdown_exec_pool()
+            engine = DistSpMMEngine(A, machine, stripe_width=8)
+            for _ in range(2):
+                engine.multiply(B)
+            engine.warm_exec_buffers(16)
+            warm = engine.exec_stats()
+            for _ in range(2):
+                C, _ = engine.multiply(B)
+            assert engine.exec_stats()["arena_grows"] == warm["arena_grows"]
+            assert engine.cache_stats()["recomputes"] == 0
+            outputs.append(C.tobytes())
+            seconds.append(engine.spmm_seconds)
+        shutdown_exec_pool()
+        assert outputs[0] == outputs[1]
+        assert seconds[0] == seconds[1]
 
 
 class TestTrainingScheduleReuse:
