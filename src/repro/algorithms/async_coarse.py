@@ -11,18 +11,14 @@ show it trailing the field).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
-from ..cluster.buffers import local_arena
-from ..cluster.faults import RESILIENCE_STATS, resolve_onesided
-from ..cluster.simmpi import CommAccount, _OneSidedBatch
+from ..cluster.faults import RESILIENCE_STATS
+from ..cluster.simmpi import _OneSidedBatch
 from ..dist.blocked import bucket_blocks
-from ..runtime.pool import get_exec_pool
-from ..sparse.csr import CSRMatrix
-from ..sparse.ops import spmm_row_panels
+from .allgather import multiply_slabs
 from .base import DistSpMMAlgorithm, RunContext
+from .schedule import BlockSchedule, lane_seconds
 
 
 class AsyncCoarse(DistSpMMAlgorithm):
@@ -38,82 +34,40 @@ class AsyncCoarse(DistSpMMAlgorithm):
 
     name = "AsyncCoarse"
 
+    def schedule(self, col_part, k: int, nnz_rb) -> BlockSchedule:
+        """The layer's schedule; ``nnz_rb`` are its stored nonzeros per
+        (rank, block)."""
+        return BlockSchedule.async_coarse(col_part, k, nnz_rb)
+
     def _execute(self, ctx: RunContext) -> None:
-        net = ctx.machine.network
-        compute = ctx.machine.compute
-        k = ctx.k
-        faults = ctx.cluster.faults
         _, nnz_rb = bucket_blocks(
             ctx.A.global_matrix, ctx.A.partition, ctx.B.partition
         )
-
-        def rank_body(
-            rank: int,
-        ) -> Optional[Tuple]:
-            # Writes only C.block(rank); SimMPI mutations deferred into
-            # the account, replayed in rank order below.
-            slab = ctx.A.slab(rank)
-            if slab.nnz == 0:
-                return None
-            account = CommAccount()
-            needed_blocks = np.flatnonzero(nnz_rb[rank])
-            owners = needed_blocks[needed_blocks != rank]
-            get_time = 0.0
-            sync_time = 0.0
-            root_costs = ()
-            resil = None
-            if faults is None:
-                for owner in owners.tolist():
-                    block = ctx.B.block(owner)
-                    ctx.mpi.get_block(
-                        rank, owner, block, label="B_got",
-                        charge_time=False, account=account,
-                    )
-                    get_time += net.rget_time(int(block.nbytes), n_chunks=1)
-            elif len(owners):
-                # Whole-block gets have nothing to re-chunk: one piece
-                # per request, all resident until the compute is done.
-                nbytes = np.array(
-                    [int(ctx.B.block(o).nbytes) for o in owners.tolist()]
-                )
-                outcome = resolve_onesided(
-                    faults, net, rank, owners, nbytes, 1
-                )
-                account.ops.append(_OneSidedBatch(
-                    rank, owners, nbytes, np.ones_like(nbytes), "B_got",
-                    True, outcome.failed, outcome.fallback,
-                    streamed=False, detail="B_got:block",
-                ))
-                get_time, sync_time, root_costs, resil = (
-                    outcome.async_seconds, outcome.sync_seconds,
-                    outcome.root_costs, outcome.stats,
-                )
-
-            done = spmm_row_panels(
-                CSRMatrix.from_coo(slab), ctx.B.data, ctx.C.block(rank),
-                arena=local_arena(), fresh=True,  # C arrives zeroed
-            )
-            comp_time = compute.sync_panel_time(
-                slab.nnz, k, done.rows_written, ctx.threads.total
-            )
-            if faults is not None:
-                comp_time *= faults.compute_skew(rank)
-            return account, get_time, comp_time, sync_time, root_costs, resil
-
-        records = get_exec_pool().map(rank_body, ctx.n_nodes)
-        for rank, record in enumerate(records):
-            if record is None:
-                continue
-            account, get_time, comp_time, sync_time, root_costs, resil = (
-                record
-            )
-            ctx.mpi.apply_account(account)
-            node = ctx.breakdown.node(rank)
-            # A couple of threads issue the gets concurrently.
-            node.async_comm += get_time / ctx.threads.async_comm
-            node.sync_comp += comp_time
-            if resil is not None:
-                RESILIENCE_STATS.merge_from(resil)
-                node.sync_comm += sync_time
-                for owner, cost in root_costs:
-                    ctx.breakdown.node(owner).sync_comm += cost
+        schedule = self.schedule(ctx.B.partition, ctx.k, nnz_rb)
+        nnz, rows = multiply_slabs(ctx)
+        outcomes = schedule.resolve(ctx.cluster.faults, ctx.machine.network)
+        replayed = 0
+        try:
+            for rank, (owners, nbytes, outcome) in enumerate(
+                zip(schedule.owners, schedule.get_bytes, outcomes)
+            ):
+                if len(owners):
+                    # Whole-block gets have nothing to re-chunk: one
+                    # piece per request, all resident until the compute
+                    # is done.
+                    _OneSidedBatch(
+                        rank, owners, nbytes, np.ones_like(nbytes),
+                        schedule.label, True,
+                        None if outcome is None else outcome.failed,
+                        None if outcome is None else outcome.fallback,
+                        streamed=False, detail=f"{schedule.label}:block",
+                    ).apply(ctx.mpi)
+                if outcome is not None:
+                    RESILIENCE_STATS.merge_from(outcome.stats)
+                replayed += 1
+        finally:
+            # Ranks before a simulated OOM keep their charges.
+            lane_seconds(
+                schedule, ctx.machine, ctx.threads, ctx.k, nnz, rows,
+                ctx.cluster.faults, upto=replayed,
+            ).charge(ctx.breakdown.nodes)

@@ -7,8 +7,9 @@ matching rows of ``B``) and runs the *unchanged* 1D algorithm —
 AllGather, DenseShifting, or Two-Face — over its ``p_r`` ranks against
 the compacted column space.  Each layer produces a partial ``C`` over
 the full row space; the partials are summed in layer order and the
-reduction is charged as one allreduce per ``C`` row block across the
-grid's depth dimension (fibers for 1.5D, grid rows for 2D).
+reduction is one allreduce per ``C`` row block across the grid's depth
+dimension (fibers for 1.5D, grid rows for 2D), counted and priced by
+:mod:`repro.algorithms.schedule` as the tuner and shm count it.
 
 The machinery here is three views plus a driver:
 
@@ -19,7 +20,7 @@ The machinery here is three views plus a driver:
 * :class:`SubCluster` — a cluster view over a layer's ranks.  The
   underlying :class:`~repro.cluster.machine.SimNode` objects are
   *shared* with the parent cluster, so clocks and memory ledgers land
-  globally; only the rank numbering (and the barrier scope) is local.
+  globally; only the rank numbering is local.
 * the per-layer :class:`~repro.cluster.simmpi.SimMPI` — each layer gets
   its own traffic/event recorder, absorbed into the parent instance
   (with rank remapping and per-dimension byte attribution) after the
@@ -48,6 +49,7 @@ from ..errors import ConfigurationError, OutOfMemoryError
 from ..runtime.threads import ThreadConfig
 from ..runtime.trace import TimeBreakdown
 from ..sparse.coo import COOMatrix
+from .schedule import book_reduction, reduction_seconds
 
 
 class SubFaultPlan:
@@ -96,8 +98,7 @@ class SubCluster:
 
     Nodes are shared with the parent cluster — a clock advance or a
     ledger charge through the view is a clock advance or ledger charge
-    on the global simulation.  ``barrier`` synchronises only the
-    members (a sub-communicator barrier; other layers keep running).
+    on the global simulation.
     """
 
     def __init__(
@@ -129,16 +130,6 @@ class SubCluster:
                 f"rank {rank} out of range 0..{self.n_nodes - 1}"
             )
         return self.nodes[rank]
-
-    def barrier(self) -> float:
-        """Synchronise the member clocks only; returns that time."""
-        latest = max(node.time for node in self.nodes)
-        for node in self.nodes:
-            node.sync_to(latest)
-        return latest
-
-    def makespan(self) -> float:
-        return max(node.time for node in self.nodes)
 
 
 def column_subset(A: COOMatrix, col_ids: np.ndarray) -> COOMatrix:
@@ -241,7 +232,13 @@ def run_on_grid(
         C = partials[0]
         for other in partials[1:]:
             C += other
-        _charge_reduction(grid, parent_mpi, breakdown, row_part, k)
+        book_reduction(grid, row_part, k, parent_mpi.traffic, parent_mpi._log)
+        totals = np.array([node.total for node in breakdown.nodes])
+        waits = reduction_seconds(
+            grid, row_part, k, machine.network, totals, cluster.faults
+        )
+        for node, seconds in zip(breakdown.nodes, waits.tolist()):
+            node.sync_comm += seconds
     except OutOfMemoryError as oom:
         result = SpMMResult(
             algorithm=algorithm.name,
@@ -269,28 +266,3 @@ def run_on_grid(
     algorithm._attach_fault_extras(result, cluster, resil_before)
     return result
 
-
-def _charge_reduction(
-    grid: ProcessGrid,
-    mpi: SimTransport,
-    breakdown: TimeBreakdown,
-    row_part: RowPartition,
-    k: int,
-) -> None:
-    """Charge the partial-``C`` allreduce across the depth dimension.
-
-    One ring allreduce per ``C`` row block, over the ``depth`` ranks
-    holding that block's partials.  Members first meet at the group
-    barrier (the wait is charged to the sync lane, the convention the
-    dense-shifting baseline uses for step barriers), then pay the ring
-    cost.
-    """
-    for block, group in enumerate(grid.reduce_groups()):
-        nbytes = int(row_part.size(block) * k * 8)
-        totals = [breakdown.node(r).total for r in group]
-        t_max = max(totals)
-        costs = mpi.group_allreduce(
-            group, nbytes, label="C_allreduce", dim=grid.reduce_dim
-        )
-        for rank, cost, total in zip(group, costs, totals):
-            breakdown.node(rank).sync_comm += (t_max - total) + cost

@@ -1,8 +1,8 @@
 """Simulated MPI layer.
 
 Algorithms in this library are written against :class:`SimMPI` the way
-the paper's C++ is written against MPI: allgathers, cyclic sendrecv
-shifts, (multi)casts, and one-sided gets.  Because all simulated nodes
+the paper's C++ is written against MPI: allgathers, (multi)casts, and
+one-sided gets.  Because all simulated nodes
 live in one address space, "transferring" dense data hands out read-only
 views; what a transfer really does is
 
@@ -33,8 +33,8 @@ class CommEvent:
     """One recorded communication operation.
 
     Attributes:
-        kind: ``"allgather"``, ``"shift"``, ``"multicast"``, or
-            ``"rget"``.
+        kind: ``"allgather"``, ``"allreduce"``, ``"multicast"``,
+            ``"rget"``, or ``"rget-fail"``.
         source: sending rank (the root for multicasts; -1 for
             symmetric collectives like allgather).
         destination: receiving rank (-1 when every rank receives).
@@ -619,146 +619,6 @@ class SimMPI:
         self.cluster.barrier()
         return list(blocks)
 
-    def sendrecv_shift(
-        self,
-        blocks: Sequence[np.ndarray],
-        shift: int,
-        label: str,
-    ) -> List[np.ndarray]:
-        """Cyclic MPI_Sendrecv: rank ``r`` receives the block of
-        ``(r + shift) % n``.
-
-        Used by the dense-shifting baseline between computation steps.
-        Memory is not re-charged: shifting replaces a same-sized buffer
-        in place (the caller keeps a standing allocation).
-
-        Returns:
-            The post-shift assignment, indexed by receiving rank.
-        """
-        if len(blocks) != self.n_nodes:
-            raise CommunicationError(
-                f"shift needs {self.n_nodes} blocks, got {len(blocks)}"
-            )
-        self.cluster.barrier()
-        shifted: List[np.ndarray] = []
-        for rank, node in enumerate(self.cluster.nodes):
-            incoming = blocks[(rank + shift) % self.n_nodes]
-            nbytes = int(incoming.nbytes)
-            cost = self._net.p2p_time(nbytes)
-            if self.faults is not None:
-                cost *= self.faults.link_scale(
-                    (rank + shift) % self.n_nodes, rank
-                )
-            node.advance(cost)
-            self.traffic.p2p_bytes += nbytes
-            self.traffic.p2p_messages += 1
-            self.traffic._recv(rank, nbytes)
-            self._log(
-                "shift", (rank + shift) % self.n_nodes, rank, nbytes, label
-            )
-            shifted.append(incoming)
-        self.cluster.barrier()
-        return shifted
-
-    # ------------------------------------------------------------------
-    # Sub-communicator collectives (process grids)
-    # ------------------------------------------------------------------
-    def _group_barrier(self, ranks: Sequence[int]) -> float:
-        """Synchronise the member clocks only (a sub-communicator
-        barrier: non-members keep running)."""
-        nodes = [self.cluster.node(r) for r in ranks]
-        latest = max(node.time for node in nodes)
-        for node in nodes:
-            node.sync_to(latest)
-        return latest
-
-    def group_allgather(
-        self,
-        blocks: Sequence[np.ndarray],
-        ranks: Sequence[int],
-        label: str,
-        charge_memory: bool = True,
-        dim: str = "",
-    ) -> List[np.ndarray]:
-        """MPI_Allgather over the sub-communicator ``ranks``.
-
-        Identical accounting to :meth:`allgather` but scoped to the
-        member ranks (a grid row or column): only their clocks move and
-        the ring cost is paid at the *group* size — the source of the
-        1.5D/2D traffic win.  ``dim`` attributes the moved bytes to a
-        grid dimension in :attr:`TrafficStats.dim_bytes`.
-        """
-        if len(blocks) != len(ranks):
-            raise CommunicationError(
-                f"group allgather needs {len(ranks)} blocks, "
-                f"got {len(blocks)}"
-            )
-        sizes = [int(b.nbytes) for b in blocks]
-        total_foreign = sum(sizes)
-        self._group_barrier(ranks)
-        for member, rank in enumerate(ranks):
-            node = self.cluster.node(rank)
-            foreign = total_foreign - sizes[member]
-            if charge_memory:
-                node.memory.allocate(label, foreign)
-            step_cost = self._net.allgather_time(
-                max(sizes, default=0), len(ranks)
-            )
-            if self.faults is not None:
-                step_cost *= self.faults.worst_incoming_scale(rank)
-            node.advance(step_cost)
-            self.traffic._recv(rank, foreign)
-            self._log("allgather", -1, rank, foreign, label)
-        self.traffic.collective_bytes += total_foreign
-        self.traffic.collective_ops += 1
-        self.traffic.add_dim_bytes(dim, total_foreign)
-        self._group_barrier(ranks)
-        return list(blocks)
-
-    def group_allreduce(
-        self,
-        ranks: Sequence[int],
-        nbytes: int,
-        label: str,
-        dim: str = "",
-    ) -> List[float]:
-        """Accounting of a ring MPI_Allreduce over ``ranks``.
-
-        Every member contributes and receives an ``nbytes`` buffer (a
-        partial ``C`` row block); the reduced result replaces it in
-        place, so no memory is charged.  Member clocks first meet at
-        the group barrier, then advance by the ring cost (scaled by the
-        member's worst incoming link under fault injection).  The
-        logical payload is counted once in ``collective_bytes`` —
-        the same convention as :meth:`allgather` — while each member's
-        ``per_node_recv_bytes`` gets the ``2 (n-1)/n`` ring traffic it
-        actually received.
-
-        Returns:
-            The per-member clock costs, in ``ranks`` order (the grid
-            runner mirrors them into the time breakdown).
-        """
-        nbytes = int(nbytes)
-        n = len(ranks)
-        self._group_barrier(ranks)
-        costs: List[float] = []
-        recv_each = 0 if n <= 1 else int(2 * nbytes * (n - 1) // n)
-        for rank in ranks:
-            node = self.cluster.node(rank)
-            cost = self._net.allreduce_time(nbytes, n)
-            if self.faults is not None:
-                cost *= self.faults.worst_incoming_scale(rank)
-            node.advance(cost)
-            costs.append(cost)
-            self.traffic._recv(rank, recv_each)
-            self._log("allreduce", -1, rank, recv_each, label)
-        if n > 1:
-            self.traffic.collective_bytes += nbytes
-            self.traffic.collective_ops += 1
-            self.traffic.add_dim_bytes(dim, nbytes)
-        self._group_barrier(ranks)
-        return costs
-
     def absorb(
         self, sub: "SimMPI", ranks: Sequence[int], dim: str = ""
     ) -> None:
@@ -856,50 +716,6 @@ class SimMPI:
     # ------------------------------------------------------------------
     # One-sided
     # ------------------------------------------------------------------
-    def rget_rows(
-        self,
-        origin: int,
-        target: int,
-        source: np.ndarray,
-        chunks: Sequence[tuple],
-        label: str,
-        charge_memory: bool = True,
-        charge_time: bool = True,
-    ) -> np.ndarray:
-        """MPI_Rget of row chunks from ``target``'s window.
-
-        ``chunks`` is a list of ``(first_row, n_rows)`` pairs relative to
-        ``source`` (a dense block owned by ``target``), the product of
-        the coalescing optimisation.  One request moves all chunks via an
-        ``MPI_Type_indexed`` datatype; only the *origin* clock advances —
-        that is what makes the access one-sided.
-
-        Returns:
-            The fetched rows, stacked in chunk order.
-        """
-        if origin == target:
-            raise CommunicationError("rget to self is always a local access")
-        if not chunks:
-            return source[0:0]
-        parts = []
-        total_rows = 0
-        for first, count in chunks:
-            if first < 0 or count <= 0 or first + count > source.shape[0]:
-                raise CommunicationError(
-                    f"chunk ({first}, {count}) outside block of "
-                    f"{source.shape[0]} rows"
-                )
-            parts.append(source[first : first + count])
-            total_rows += count
-        fetched = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        nbytes = int(total_rows * source.shape[1] * source.itemsize)
-        _OneSidedCharge(
-            origin, target, nbytes, len(chunks), label,
-            f"{label}:{len(chunks)}chunks", charge_memory, charge_time,
-            self._rget_scale(origin, target),
-        ).apply(self)
-        return fetched
-
     def rget_row_chunks(
         self,
         origin: int,
@@ -915,14 +731,16 @@ class SimMPI:
         account: "CommAccount" = None,
         request_ptr: np.ndarray = None,
     ) -> np.ndarray:
-        """Vectorised :meth:`rget_rows` taking chunk *arrays*.
+        """MPI_Rget of row chunks from ``target``'s window.
 
-        Identical semantics and accounting to :meth:`rget_rows`, but the
-        chunk list comes as the ``(offsets, sizes)`` arrays a cached
-        :class:`~repro.core.formats.TransferSchedule` stores, the bounds
-        check runs on whole arrays, and the rows are gathered with one
-        fancy index instead of a per-chunk slice/concatenate loop — the
-        hot path of the async lane.
+        The chunks come as the ``(offsets, sizes)`` arrays a cached
+        :class:`~repro.core.formats.TransferSchedule` stores — the
+        product of the coalescing optimisation — relative to ``source``
+        (a dense block owned by ``target``).  One request moves all
+        chunks via an ``MPI_Type_indexed`` datatype; only the *origin*
+        clock advances — that is what makes the access one-sided.  The
+        bounds check runs on whole arrays and the rows are gathered
+        with one fancy index — the hot path of the async lane.
 
         With ``request_ptr`` the call is a *stream* of requests served
         by one gather: request ``i`` covers chunks
@@ -1022,34 +840,6 @@ class SimMPI:
             account.ops.append(charge)
         return fetched
 
-    def get_block(
-        self,
-        origin: int,
-        target: int,
-        block: np.ndarray,
-        label: str,
-        charge_memory: bool = True,
-        charge_time: bool = True,
-        account: "CommAccount" = None,
-    ) -> np.ndarray:
-        """Whole-block MPI_Get (the Async Coarse-Grained baseline).
-
-        ``account`` defers the accounting exactly as in
-        :meth:`rget_row_chunks`.
-        """
-        if origin == target:
-            return block
-        nbytes = int(block.nbytes)
-        charge = _OneSidedCharge(
-            origin, target, nbytes, 1, label, f"{label}:block",
-            charge_memory, charge_time, self._rget_scale(origin, target),
-        )
-        if account is None:
-            charge.apply(self)
-        else:
-            account.ops.append(charge)
-        return block
-
     def apply_account(self, account: "CommAccount") -> None:
         """Replay a worker's deferred accounting on the main thread.
 
@@ -1070,15 +860,3 @@ class SimMPI:
         if self.faults is None:
             return 1.0
         return self.faults.link_scale(target, origin)
-
-    # ------------------------------------------------------------------
-    # Utilities
-    # ------------------------------------------------------------------
-    def barrier(self) -> float:
-        """Global barrier; returns the synchronised time."""
-        return self.cluster.barrier()
-
-    def advance_all(self, seconds: float) -> None:
-        """Charge identical local time on every rank (e.g. setup)."""
-        for node in self.cluster.nodes:
-            node.advance(seconds)

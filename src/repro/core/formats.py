@@ -103,7 +103,7 @@ class TransferSchedule:
         return int(len(self.chunk_offsets))
 
     def chunks(self) -> List[Tuple[int, int]]:
-        """The ``(offset, size)`` pair list :meth:`SimMPI.rget_rows` takes."""
+        """The chunks as a list of ``(offset, size)`` pairs."""
         return list(
             zip(self.chunk_offsets.tolist(), self.chunk_sizes.tolist())
         )

@@ -8,13 +8,17 @@ surface an algorithm touches is narrow:
 ==================  ================================================
 operation           SimMPI method(s)
 ==================  ================================================
-one-sided gets      ``rget_rows`` / ``rget_row_chunks`` / ``get_block``
-collectives         ``allgather`` / ``multicast`` / ``sendrecv_shift``
-group collectives   ``group_allgather`` / ``group_allreduce``
-synchronisation     ``barrier`` / ``_group_barrier`` / ``advance_all``
+one-sided gets      ``rget_row_chunks``
+collectives         ``allgather`` / ``multicast``
 clocks              per-node simulated clocks (``cluster.nodes[r].clock``)
 accounting          ``traffic`` counters, ``events`` log, ``apply_account``
 ==================  ================================================
+
+The block baselines' schedules (ring allgathers, whole-block gets,
+cyclic shifts) and the grid reduction are booked on the same
+``traffic`` counters and ``events`` log by
+:mod:`repro.algorithms.schedule`, the module the shm transport books
+them with too.
 
 Executor transports (shm, mpi) do not re-implement that call-by-call
 surface; they take the *plan* the algorithms would have driven through

@@ -27,16 +27,19 @@ the same plan-resident rank programs), so ``C`` matches the simulator
 to 1e-12 (in practice bitwise); ``tests/transport`` enforces this at
 worker widths 1/2/4.
 
-Traffic counters are computed analytically on the driver by mirroring
-the simulator's charging formulas — they describe what the plan
-*moves*, which is transport-invariant.  Fault injection consumes the
-same compiled :class:`~repro.cluster.faults.FaultPlan`: attempt
-outcomes are pure functions of structural coordinates, so the driver
-resolves each rank's requests through the simulator's own policy
-function for the counters (the ``retries + lane_fallbacks ==
-rget_failures`` invariant holds by construction) while workers serve
-the injected delays as real ``time.sleep`` calls (rget backoff,
-compute-skew stragglers).
+Traffic counters are booked on the driver by the functions the
+simulator books with — the plan's multicast table, and
+:func:`~repro.algorithms.schedule.book_counters` /
+:func:`~repro.algorithms.schedule.book_reduction` over a block
+baseline's schedule, Two-Face's one-sided requests and the grid
+reduction — so they describe what the plan *moves*, which is
+transport-invariant.  Fault injection consumes the same compiled
+:class:`~repro.cluster.faults.FaultPlan`: attempt outcomes are pure
+functions of structural coordinates, so the driver resolves each
+rank's requests through the simulator's own policy function for the
+counters (the ``retries + lane_fallbacks == rget_failures`` invariant
+holds by construction) while workers serve the injected delays as real
+``time.sleep`` calls (rget backoff, compute-skew stragglers).
 
 What shm does **not** model: simulated seconds (no clocks advance; the
 result's ``seconds`` is the wall-clock makespan), the memory ledger
@@ -50,7 +53,6 @@ simulator reports zero rechunks).
 from __future__ import annotations
 
 import atexit
-import math
 import os
 import time
 import traceback
@@ -60,12 +62,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..algorithms.schedule import BlockSchedule, book_counters, book_reduction
 from ..cluster.buffers import FetchArena
-from ..cluster.faults import (
-    ResilienceStats,
-    compile_faults,
-    resolve_onesided,
-)
+from ..cluster.faults import ResilienceStats, compile_faults
 from ..cluster.simmpi import TrafficStats
 from ..dist.oned import RowPartition
 from ..errors import ExecutorCrashError, ShapeError
@@ -150,31 +149,11 @@ class SegmentPool:
 
 
 # ----------------------------------------------------------------------
-# Driver-side fault replay (counters + injected-delay schedule)
+# Injected delays (the driver counts; workers sleep)
 # ----------------------------------------------------------------------
-def _count_onesided(
-    faults, net, origin_l: int, targets_l: np.ndarray, origin_g: int,
-    nbytes: np.ndarray, traffic: TrafficStats, resil: ResilienceStats,
-) -> float:
-    """Count one rank's one-sided requests (driver side).
-
-    Same policy and counter transitions as the simulator's resilient
-    lanes (:func:`~repro.cluster.faults.resolve_onesided`; one piece per
-    request — shm never re-chunks): a request whose attempt budget ran
-    out arrives as collective traffic instead.  Fault decisions key on
-    layer-local structural coordinates (matching
-    :class:`~repro.algorithms.gridrun.SubFaultPlan` remapping); traffic
-    lands on the global rank.
-
-    Returns the real backoff sleep the rank's worker owes.
-    """
-    if faults is None:
-        traffic.count_onesided(origin_g, nbytes)
-        return 0.0
-    outcome = resolve_onesided(faults, net, origin_l, targets_l, nbytes, 1)
-    traffic.count_onesided(origin_g, nbytes, outcome.fallback)
-    resil.merge_from(outcome.stats)
-    return outcome.stats.backoff_seconds
+def _backoff_of(outcome) -> float:
+    """The real backoff sleep a rank owes for its failed gets."""
+    return outcome.stats.backoff_seconds if outcome is not None else 0.0
 
 
 def _skew_of(faults_view, rank_l: int) -> float:
@@ -266,17 +245,27 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
     received[layer.ranks] = program.received_bytes(k)
     traffic.count_multicast(program.payload_bytes(k), received)
 
+    # One-sided requests: one piece each, counted (and, under faults,
+    # resolved) as a schedule of gets.
+    programs = [
+        plan.rank_plan(rank).async_matrix.ensure_program(layer.col_part, gap)
+        for rank in range(p_r)
+    ]
+    gets = BlockSchedule(
+        np.zeros(p_r, dtype=np.int64),
+        owners=tuple(program.req_owners for program in programs),
+        get_bytes=tuple(program.req_rows * (k * 8) for program in programs),
+    )
+    outcomes = gets.resolve(faults_view, sub_machine.network)
+    book_counters(gets, traffic, layer.ranks, outcomes, resil)
+
     B_l, out = layer.B_l, layer.out
     stage: Dict[int, Callable] = {}
-    for rank in range(p_r):
+    for rank, program in enumerate(programs):
         rank_plan = plan.rank_plan(rank)
         lo, hi = layer.row_part.bounds(rank)
         matrix = rank_plan.async_matrix
-        program = matrix.ensure_program(layer.col_part, gap)
-        backoff_s = _count_onesided(
-            faults_view, sub_machine.network, rank, program.req_owners,
-            layer.ranks[rank], program.req_rows * (k * 8), traffic, resil,
-        )
+        backoff_s = _backoff_of(outcomes[rank])
         # Pre-touch every plan-resident cache so forked children
         # inherit warm, shared (copy-on-write) program state.
         tiles = program.tiles(k * 8)
@@ -317,118 +306,66 @@ def _build_twoface(layer: _Layer, algo, A_sub, k, sub_machine, threads,
     layer.stages = [stage]
 
 
-def _build_allgather(layer: _Layer, A_sub, k, traffic,
-                     faults_view) -> None:
-    p_r = layer.row_part.n_parts
-    sizes = [layer.col_part.size(r) * k * 8 for r in range(p_r)]
-    total = sum(sizes)
-    traffic.collective_bytes += total
-    traffic.collective_ops += 1
-    for rank in range(p_r):
-        traffic._recv(layer.ranks[rank], total - sizes[rank])
-    _build_block_compute(layer, A_sub, k, faults_view)
-
-
-def _build_async_coarse(layer: _Layer, A_dist, k, net, traffic,
-                        faults_view, resil) -> None:
-    from ..dist.blocked import bucket_blocks
-
-    p_r = layer.row_part.n_parts
-    backoffs = [0.0] * p_r
-    sizes = np.array([layer.col_part.size(r) for r in range(p_r)])
-    _, nnz_rb = bucket_blocks(
-        A_dist.global_matrix, layer.row_part, layer.col_part
-    )
-    for rank in range(p_r):
-        needed = np.flatnonzero(nnz_rb[rank])
-        if not len(needed):
-            continue
-        owners = needed[needed != rank]
-        backoffs[rank] = _count_onesided(
-            faults_view, net, rank, owners, layer.ranks[rank],
-            sizes[owners] * (k * 8), traffic, resil,
-        )
-    _build_block_compute(layer, A_dist, k, faults_view, backoffs=backoffs)
-
-
-def _build_block_compute(layer: _Layer, A_dist, k, faults_view,
-                         backoffs: Optional[List[float]] = None) -> None:
-    """The shared compute body of AllGather / AsyncCoarse: with the
-    whole panel visible, each rank is one CSR SpMM over its slab."""
+def _build_blocks(layer: _Layer, algo, A_dist, k, net, traffic,
+                  faults_view, resil) -> None:
+    """A block baseline: its schedule's counters, then one stage per
+    held bundle — dense shifting's pieces of a :class:`BlockedMatrix`,
+    or (AllGather / AsyncCoarse) one CSR SpMM over the whole slab."""
+    from ..algorithms.async_coarse import AsyncCoarse
+    from ..dist.blocked import BlockedMatrix, bucket_blocks
     from ..sparse.csr import CSRMatrix
     from ..sparse.ops import spmm_row_panels
 
     p_r = layer.row_part.n_parts
+    nnz_rb = None
+    if isinstance(algo, AsyncCoarse):
+        _, nnz_rb = bucket_blocks(
+            A_dist.global_matrix, layer.row_part, layer.col_part
+        )
+    schedule = algo.schedule(layer.col_part, k, nnz_rb)
+    outcomes = schedule.resolve(faults_view, net)
+    book_counters(schedule, traffic, layer.ranks, outcomes, resil)
+
     B_l, out = layer.B_l, layer.out
-    stage: Dict[int, Callable] = {}
-    for rank in range(p_r):
-        lo, hi = layer.row_part.bounds(rank)
-        csr = CSRMatrix.from_coo(A_dist.slab(rank))
-        sleep_s = backoffs[rank] if backoffs else 0.0
+    if schedule.held is None:
+        csrs = [CSRMatrix.from_coo(A_dist.slab(r)) for r in range(p_r)]
 
-        def fn(arena, _lo=lo, _hi=hi, _csr=csr, _sleep=sleep_s):
-            if _sleep > 0.0:
-                time.sleep(_sleep)
-            spmm_row_panels(_csr, B_l, out[_lo:_hi], arena=arena, fresh=True)
-            return None
+        def kernel(c_block, rank, step, arena):
+            spmm_row_panels(csrs[rank], B_l, c_block, arena=arena, fresh=True)
+    else:
+        # Built once here, before the fork; workers run the simulator's
+        # kernel over views of it.
+        blocked = BlockedMatrix.build(
+            A_dist.global_matrix, layer.row_part, layer.col_part
+        )
+        layer.arena_ceilings = {"scatter": (int(blocked.rows_rb.max()), k)}
+        first, last = schedule.held
 
-        stage[layer.ranks[rank]] = _skewed(fn, _skew_of(faults_view, rank))
-    layer.stages = [stage]
+        def kernel(c_block, rank, step, arena):
+            if step == 0:
+                c_block[:] = 0.0
+            blocked.multiply_into(
+                c_block, B_l, rank, int(first[step, rank]),
+                int(last[step, rank]), arena=arena,
+            )
 
-
-def _build_dense_shifting(layer: _Layer, algo, A_dist, k, traffic,
-                          faults_view) -> None:
-    from ..algorithms.dense_shifting import ds_held_blocks
-    from ..dist.blocked import BlockedMatrix
-
-    p_r = layer.row_part.n_parts
-    c = min(algo.replication, p_r)
-    n_groups = math.ceil(p_r / c)
-    max_block_bytes = layer.col_part.max_size() * k * 8
-
-    if c > 1:
-        gathered = (c - 1) * max_block_bytes
-        for rank in range(p_r):
-            traffic._recv(layer.ranks[rank], gathered)
-        traffic.collective_bytes += p_r * gathered
-        traffic.collective_ops += n_groups
-    shift_bytes = c * max_block_bytes
-    for step in range(n_groups - 1):
-        for rank in range(p_r):
-            traffic.p2p_bytes += shift_bytes
-            traffic.p2p_messages += 1
-            traffic._recv(layer.ranks[rank], shift_bytes)
-
-    # Built once here, before the fork; workers run the simulator's
-    # kernel over views of it.
-    blocked = BlockedMatrix.build(
-        A_dist.global_matrix, layer.row_part, layer.col_part
-    )
-    B_l, out = layer.B_l, layer.out
-    stages: List[Dict[int, Callable]] = []
-    first, last = ds_held_blocks(p_r, c)
-    for step in range(n_groups):
+    for step in range(schedule.steps):
         stage: Dict[int, Callable] = {}
         for rank in range(p_r):
             lo, hi = layer.row_part.bounds(rank)
+            sleep_s = _backoff_of(outcomes[rank]) if step == 0 else 0.0
 
-            def fn(arena, _lo=lo, _hi=hi, _rank=rank,
-                   _first=int(first[step, rank]),
-                   _last=int(last[step, rank]), _zero=(step == 0)):
-                c_block = out[_lo:_hi]
-                if _zero:
-                    c_block[:] = 0.0
-                blocked.multiply_into(
-                    c_block, B_l, _rank, _first, _last, arena=arena
-                )
+            def fn(arena, _lo=lo, _hi=hi, _rank=rank, _step=step,
+                   _sleep=sleep_s):
+                if _sleep > 0.0:
+                    time.sleep(_sleep)
+                kernel(out[_lo:_hi], _rank, _step, arena)
                 return None
 
             stage[layer.ranks[rank]] = _skewed(
                 fn, _skew_of(faults_view, rank)
             )
-        stages.append(stage)
-    layer.stages = stages
-    layer.arena_ceilings = {"scatter": (int(blocked.rows_rb.max()), k)}
+        layer.stages.append(stage)
 
 
 # ----------------------------------------------------------------------
@@ -629,16 +566,11 @@ class ShmTransport(Transport):
                     layer, layer_algo, A_dist, k, sub_machine, threads,
                     traffic, faults_view, resil,
                 )
-            elif isinstance(layer_algo, AllGather):
-                _build_allgather(layer, A_dist, k, traffic, faults_view)
-            elif isinstance(layer_algo, AsyncCoarse):
-                _build_async_coarse(
-                    layer, A_dist, k, machine.network, traffic,
-                    faults_view, resil,
-                )
-            elif isinstance(layer_algo, DenseShifting):
-                _build_dense_shifting(
-                    layer, layer_algo, A_dist, k, traffic, faults_view,
+            elif isinstance(layer_algo, (AllGather, AsyncCoarse,
+                                         DenseShifting)):
+                _build_blocks(
+                    layer, layer_algo, A_dist, k, machine.network,
+                    traffic, faults_view, resil,
                 )
             else:
                 raise TransportError(
@@ -667,31 +599,21 @@ class ShmTransport(Transport):
             stages.append(merged)
 
         if depth > 1:
-            stages.append(
-                self._reduce_stage(grid, layers, row_part, k, traffic, C)
-            )
+            book_reduction(grid, row_part, k, traffic)
+            stages.append(self._sum_partials(grid, layers, row_part, C))
         return stages, layers
 
     @staticmethod
-    def _reduce_stage(grid, layers, row_part, k, traffic, C) -> _Stage:
+    def _sum_partials(grid, layers, row_part, C) -> _Stage:
         """The partial-``C`` reduction across the depth dimension.
 
         Rank ``i`` of layer 0 owns row block ``i``'s reduction; the sum
         runs in layer order, matching the simulator's
         ``C = partials[0]; C += partials[g]`` accumulation bit for bit.
-        Counter arithmetic mirrors ``SimMPI.group_allreduce``.
         """
         partials = [layer.out for layer in layers]
         stage: _Stage = {}
-        depth_total = 0
         for block, group in enumerate(grid.reduce_groups()):
-            nbytes = int(row_part.size(block) * k * 8)
-            recv_each = int(2 * nbytes * (len(group) - 1) // len(group))
-            for rank in group:
-                traffic._recv(rank, recv_each)
-            traffic.collective_bytes += nbytes
-            traffic.collective_ops += 1
-            depth_total += nbytes
             lo, hi = row_part.bounds(block)
 
             def fn(arena, _lo=lo, _hi=hi):
@@ -702,7 +624,6 @@ class ShmTransport(Transport):
                 return None
 
             stage[group[0]] = fn
-        traffic.add_dim_bytes(grid.reduce_dim, depth_total)
         return stage
 
     # ------------------------------------------------------------------

@@ -4,14 +4,14 @@ The autotuner's question — *which (ProcessGrid, algorithm) pair is
 fastest for this (matrix, K, machine) cell?* — is answered here without
 running a single simulated SpMM.  The simulator itself is an analytic
 cost model (``NetworkModel`` / ``ComputeModel`` formulas over exact
-per-rank sparsity statistics), so the predictor can *mirror* the
-charges each algorithm makes instead of approximating them:
+per-rank sparsity statistics), so the predictor calls the seconds
+functions the simulator charges by instead of approximating them:
 
-* **AllGather / DS(c) / AsyncCoarse** — closed forms over per-rank
-  (and per-owner-block) nonzero and nonempty-row counts: the tables of
-  the layer's :class:`~repro.dist.blocked.BlockedMatrix`, the structure
-  dense shifting itself executes from.  These reproduce the exact lane
-  charges of ``repro.algorithms.{allgather,dense_shifting,async_coarse}``.
+* **AllGather / DS(c) / AsyncCoarse** — the layer's
+  :class:`~repro.algorithms.schedule.BlockSchedule`, built from the
+  tables of its :class:`~repro.dist.blocked.BlockedMatrix`, priced by
+  :func:`~repro.algorithms.schedule.lane_seconds` with ``faults=None``
+  — the function the simulator charges its breakdown with.
 * **TwoFace / AsyncFine** — every executor charge is a sum over the
   classification's async mask of per-stripe quantities, so each rank
   runs the planner's own classification step (``classify_slab``) and
@@ -19,12 +19,14 @@ charges each algorithm makes instead of approximating them:
   price the result.  No plan is built or cached.
 * **Grid layers** (depth > 1) — each layer's charges land on its
   disjoint global rank range, and the partial-``C`` reduction is
-  mirrored including the barrier-wait term, which requires carrying
-  the full five-lane per-node state (``total`` is a *max* over lanes,
-  so post-barrier waits are nonlinear in the per-lane sums).
+  priced by :func:`~repro.algorithms.schedule.reduction_seconds`
+  including the barrier-wait term, which requires carrying the full
+  five-lane per-node state (``total`` is a *max* over lanes, so
+  post-barrier waits are nonlinear in the per-lane sums).
 
-Feasibility is screened with a lower-bound memory-ledger mirror (base
-containers plus each algorithm's replica/fetch charges).  A predicted
+Feasibility is screened with a lower-bound memory-ledger check (base
+containers plus each algorithm's replica/fetch charges — a block
+baseline's schedule ``resident`` bytes).  A predicted
 OOM is a real OOM; rare unmodelled overshoot is caught by the tuner's
 probe mode and drift feedback (DESIGN.md §10).
 
@@ -35,14 +37,19 @@ than silently mispredicted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..algorithms.base import BASE_SETUP_SECONDS
-from ..algorithms.dense_shifting import ds_step_seconds
+from ..algorithms.registry import make_algorithm
+from ..algorithms.schedule import (
+    Lanes,
+    block_bytes,
+    lane_seconds,
+    reduction_seconds,
+)
 from ..cluster.machine import MachineConfig
 from ..core.classifier import RankClassification
 from ..core.executor import (
@@ -106,30 +113,6 @@ class CandidatePrediction:
         }
 
 
-class _Lanes:
-    """Five-lane per-node breakdown mirror (numpy over global ranks)."""
-
-    def __init__(self, n_nodes: int):
-        self.sync_comm = np.zeros(n_nodes)
-        self.sync_comp = np.zeros(n_nodes)
-        self.async_comm = np.zeros(n_nodes)
-        self.async_comp = np.zeros(n_nodes)
-        self.other = np.zeros(n_nodes)
-
-    def totals(self) -> np.ndarray:
-        """``max(sync lane, async lane) + other``, per node."""
-        return (
-            np.maximum(
-                self.sync_comm + self.sync_comp,
-                self.async_comm + self.async_comp,
-            )
-            + self.other
-        )
-
-    def makespan(self) -> float:
-        return float(self.totals().max())
-
-
 @dataclass
 class _LayerStats:
     """Per-rank sparsity aggregates of one grid layer's 1D sub-problem.
@@ -150,13 +133,6 @@ class _LayerStats:
     def p_r(self) -> int:
         return self.row_part.n_parts
 
-    def block_bytes(self, k: int) -> np.ndarray:
-        """Dense ``B`` block bytes per rank at width ``k``."""
-        return np.array(
-            [self.col_part.size(r) * k * 8 for r in range(self.p_r)],
-            dtype=np.int64,
-        )
-
 
 class _Skeleton(NamedTuple):
     """A layer as Two-Face pricing reads it: per rank, the planner's
@@ -175,7 +151,7 @@ class _Skeleton(NamedTuple):
 
 
 class CostModel:
-    """Exact-mirror cost model over the registry algorithms and grids.
+    """Exact cost model over the registry algorithms and grids.
 
     Args:
         machine: the simulated machine candidates would run on; must be
@@ -301,7 +277,7 @@ class CostModel:
         grid: ProcessGrid,
         layers: List[_LayerStats],
     ) -> CandidatePrediction:
-        lanes = _Lanes(self.machine.n_nodes)
+        lanes = Lanes(self.machine.n_nodes)
         try:
             for stats in layers:
                 ranks = np.asarray(stats.ranks)
@@ -315,8 +291,10 @@ class CostModel:
             return CandidatePrediction(
                 name, grid, INFEASIBLE, feasible=False, note=str(oom)
             )
-        if grid.depth > 1:
-            self._charge_reduction(grid, layers[0].row_part, k, lanes)
+        lanes.sync_comm += reduction_seconds(
+            grid, layers[0].row_part, k, self.machine.network,
+            lanes.totals(),
+        )
         return CandidatePrediction(name, grid, lanes.makespan())
 
     def _charge_layer(
@@ -325,39 +303,38 @@ class CostModel:
         k: int,
         grid: ProcessGrid,
         stats: _LayerStats,
-        lanes: _Lanes,
+        lanes: Lanes,
         ranks: np.ndarray,
     ) -> None:
-        if name == "Allgather":
-            self._charge_allgather(k, stats, lanes, ranks)
-        elif name.startswith("DS") and name[2:].isdigit():
-            self._charge_dense_shifting(
-                int(name[2:]), k, stats, lanes, ranks
-            )
-        elif name == "AsyncCoarse":
-            self._charge_async_coarse(k, stats, lanes, ranks)
-        elif name in ("TwoFace", "AsyncFine"):
+        if name in ("TwoFace", "AsyncFine"):
             self._charge_twoface(
                 k, grid, stats, lanes, ranks,
                 force_all_async=(name == "AsyncFine"),
             )
-        else:
-            raise ConfigurationError(
-                f"no cost mirror for algorithm {name!r}"
-            )
+            return
+        blocked = stats.blocked
+        schedule = make_algorithm(name).schedule(
+            stats.col_part, k, blocked.nnz_rb
+        )
+        self._require_fits(schedule.resident, self._base_bytes(k, stats))
+        lanes.add(
+            lane_seconds(
+                schedule, self.machine, self.threads, k,
+                *schedule.step_work(blocked),
+            ),
+            ranks,
+        )
 
     # ------------------------------------------------------------------
     # Memory feasibility (lower-bound ledger mirror)
     # ------------------------------------------------------------------
     def _base_bytes(self, k: int, stats: _LayerStats) -> np.ndarray:
         """Container charges per rank: A slab + B block + C block."""
-        p_r = stats.p_r
-        c_bytes = np.array(
-            [stats.row_part.size(r) * k * 8 for r in range(p_r)],
-            dtype=np.int64,
-        )
         # The COO slab is 24 B per stored nonzero.
-        return stats.blocked.nnz_r * 24 + stats.block_bytes(k) + c_bytes
+        return (
+            stats.blocked.nnz_r * 24 + block_bytes(stats.col_part, k)
+            + block_bytes(stats.row_part, k)
+        )
 
     def _require_fits(self, extra: np.ndarray, base: np.ndarray) -> None:
         peak = base + extra
@@ -366,82 +343,6 @@ class CostModel:
             raise _Infeasible(
                 f"rank {worst} needs {int(peak[worst])} B of "
                 f"{self.machine.memory_capacity} B"
-            )
-
-    # ------------------------------------------------------------------
-    # Closed-form mirrors of the baselines
-    # ------------------------------------------------------------------
-    def _charge_allgather(
-        self, k: int, stats: _LayerStats, lanes: _Lanes, ranks: np.ndarray
-    ) -> None:
-        net = self.machine.network
-        compute = self.machine.compute
-        p_r = stats.p_r
-        block_bytes = stats.block_bytes(k)
-        self._require_fits(
-            int(block_bytes.sum()) - block_bytes, self._base_bytes(k, stats)
-        )
-        gather = net.allgather_time(stats.col_part.max_size() * k * 8, p_r)
-        lanes.sync_comm[ranks] += gather
-        lanes.sync_comp[ranks] += compute.sync_panel_time(
-            stats.blocked.nnz_r, k, stats.blocked.rows_r, self.threads.total
-        )
-
-    def _charge_dense_shifting(
-        self,
-        replication: int,
-        k: int,
-        stats: _LayerStats,
-        lanes: _Lanes,
-        ranks: np.ndarray,
-    ) -> None:
-        net = self.machine.network
-        p_r = stats.p_r
-        c = min(replication, p_r)
-        n_groups = math.ceil(p_r / c)
-        max_block_bytes = stats.col_part.max_size() * k * 8
-        bundle_blocks = c + (c if n_groups > 1 else 0)
-        self._require_fits(
-            np.full(p_r, (bundle_blocks - 1) * max_block_bytes),
-            self._base_bytes(k, stats),
-        )
-        if c > 1:
-            lanes.sync_comm[ranks] += net.allgather_time(max_block_bytes, c)
-        shift_cost = net.p2p_time(c * max_block_bytes)
-        step_seconds = ds_step_seconds(
-            stats.blocked.nnz_rb, stats.blocked.rows_rb, c, k,
-            self.machine.compute, self.threads.total,
-        )
-        for step, comp in enumerate(step_seconds):
-            lanes.sync_comp[ranks] += comp
-            lanes.sync_comm[ranks] += float(comp.max(initial=0.0)) - comp
-            if step != n_groups - 1:
-                lanes.sync_comm[ranks] += shift_cost
-
-    def _charge_async_coarse(
-        self, k: int, stats: _LayerStats, lanes: _Lanes, ranks: np.ndarray
-    ) -> None:
-        net = self.machine.network
-        compute = self.machine.compute
-        p_r = stats.p_r
-        block_bytes = stats.block_bytes(k)
-        nnz_r, rows_r = stats.blocked.nnz_r, stats.blocked.rows_r
-        needed = stats.blocked.nnz_rb > 0
-        np.fill_diagonal(needed, False)
-        self._require_fits(
-            needed @ block_bytes, self._base_bytes(k, stats)
-        )
-        for r in range(p_r):
-            if not nnz_r[r]:
-                continue
-            get_time = sum(
-                net.rget_time(int(block_bytes[b]), n_chunks=1)
-                for b in np.flatnonzero(needed[r])
-            )
-            node = ranks[r]
-            lanes.async_comm[node] += get_time / self.threads.async_comm
-            lanes.sync_comp[node] += compute.sync_panel_time(
-                int(nnz_r[r]), k, int(rows_r[r]), self.threads.total,
             )
 
     # ------------------------------------------------------------------
@@ -501,7 +402,7 @@ class CostModel:
         k: int,
         grid: ProcessGrid,
         stats: _LayerStats,
-        lanes: _Lanes,
+        lanes: Lanes,
         ranks: np.ndarray,
         force_all_async: bool,
     ) -> None:
@@ -559,25 +460,6 @@ class CostModel:
         self._require_fits(
             program.received_bytes(k) + peak_fetch, self._base_bytes(k, stats)
         )
-
-    # ------------------------------------------------------------------
-    # Partial-C reduction across the depth dimension
-    # ------------------------------------------------------------------
-    def _charge_reduction(
-        self,
-        grid: ProcessGrid,
-        row_part: RowPartition,
-        k: int,
-        lanes: _Lanes,
-    ) -> None:
-        net = self.machine.network
-        totals = lanes.totals()
-        for block, group in enumerate(grid.reduce_groups()):
-            nbytes = int(row_part.size(block) * k * 8)
-            members = np.asarray(group)
-            t_max = float(totals[members].max())
-            cost = net.allreduce_time(nbytes, len(group))
-            lanes.sync_comm[members] += (t_max - totals[members]) + cost
 
 
 class _Infeasible(Exception):

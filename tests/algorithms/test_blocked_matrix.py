@@ -12,6 +12,7 @@ LRU slots, pricing that holds nothing) are checked at the end.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import MachineConfig, TwoFace
 from repro.algorithms import AllGather, AsyncCoarse, DenseShifting
-from repro.algorithms.dense_shifting import ds_held_blocks, ds_step_seconds
+from repro.algorithms.schedule import BlockSchedule
 from repro.cluster import FaultConfig
 from repro.cluster.buffers import FetchArena
 from repro.core.plancache import (
@@ -447,8 +448,14 @@ class TestStepSeconds:
         groups = [
             list(range(g * c, min((g + 1) * c, p))) for g in range(n_groups)
         ]
-        got = ds_step_seconds(nnz_rb, rows_rb, c, k, compute, 6)
-        first, last = ds_held_blocks(p, c)
+        schedule = BlockSchedule.dense_shifting(
+            RowPartition(p, p), k, c
+        )
+        nnz, rows = schedule.step_work(
+            SimpleNamespace(nnz_rb=nnz_rb, rows_rb=rows_rb)
+        )
+        got = compute.sync_panel_time(nnz, k, rows, 6)
+        first, last = schedule.held
         assert got.shape == first.shape == last.shape == (n_groups, p)
         for step in range(n_groups):
             for r in range(p):

@@ -21,7 +21,9 @@ class TestSimMPIEvents:
         mpi = SimMPI(Cluster(small_machine))
         data = np.ones((4, 4))
         mpi.multicast(0, data, [1], label="first")
-        mpi.rget_rows(2, 0, data, [(0, 1)], label="second")
+        mpi.rget_row_chunks(
+            2, 0, data, np.array([0]), np.array([1]), label="second"
+        )
         assert [e.kind for e in mpi.events] == ["multicast", "rget"]
         assert mpi.events[0].detail == "first"
         assert mpi.events[1].source == 0

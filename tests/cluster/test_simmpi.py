@@ -1,12 +1,15 @@
 """Unit tests for the simulated MPI layer."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.algorithms.schedule import book_reduction, reduction_seconds
 from repro.cluster import Cluster, MachineConfig, SimMPI, simmpi
-from repro.cluster.simmpi import _MulticastBatch
+from repro.dist import RowPartition
+from repro.cluster.simmpi import CommEvent, _MulticastBatch
 from repro.errors import CommunicationError, OutOfMemoryError
 
 
@@ -65,32 +68,6 @@ class TestAllgather:
         mpi = SimMPI(Cluster(machine))
         with pytest.raises(OutOfMemoryError):
             mpi.allgather(blocks_for(mpi), label="B")
-
-
-class TestSendrecvShift:
-    def test_shift_assignment(self, mpi):
-        blocks = blocks_for(mpi)
-        shifted = mpi.sendrecv_shift(blocks, shift=1, label="s")
-        for rank in range(4):
-            np.testing.assert_array_equal(shifted[rank], blocks[(rank + 1) % 4])
-
-    def test_shift_by_zero_identity(self, mpi):
-        blocks = blocks_for(mpi)
-        shifted = mpi.sendrecv_shift(blocks, shift=0, label="s")
-        for rank in range(4):
-            np.testing.assert_array_equal(shifted[rank], blocks[rank])
-
-    def test_traffic_counts_messages(self, mpi):
-        mpi.sendrecv_shift(blocks_for(mpi), shift=1, label="s")
-        assert mpi.traffic.p2p_messages == 4
-
-    def test_clock_advance(self, mpi):
-        mpi.sendrecv_shift(blocks_for(mpi), shift=2, label="s")
-        assert all(node.time > 0 for node in mpi.cluster.nodes)
-
-    def test_wrong_count(self, mpi):
-        with pytest.raises(CommunicationError):
-            mpi.sendrecv_shift([np.zeros((1, 1))] * 3, shift=1, label="s")
 
 
 class TestMulticast:
@@ -220,50 +197,8 @@ class TestMulticastBatch:
         assert all(not n.memory.allocations() for n in mpi.cluster.nodes)
 
 
-class TestRgetRows:
-    def test_fetches_requested_chunks(self, mpi):
-        source = np.arange(40.0).reshape(10, 4)
-        fetched = mpi.rget_rows(0, 1, source, [(2, 2), (6, 1)], label="r")
-        np.testing.assert_array_equal(fetched, source[[2, 3, 6]])
-
-    def test_single_chunk_is_view(self, mpi):
-        source = np.arange(20.0).reshape(5, 4)
-        fetched = mpi.rget_rows(0, 1, source, [(1, 3)], label="r")
-        np.testing.assert_array_equal(fetched, source[1:4])
-
-    def test_only_origin_clock_advances(self, mpi):
-        source = np.ones((5, 4))
-        mpi.rget_rows(2, 0, source, [(0, 1)], label="r")
-        assert mpi.cluster.node(2).time > 0
-        assert mpi.cluster.node(0).time == 0  # one-sided!
-
-    def test_self_get_rejected(self, mpi):
-        with pytest.raises(CommunicationError):
-            mpi.rget_rows(1, 1, np.ones((2, 2)), [(0, 1)], label="r")
-
-    def test_chunk_bounds_checked(self, mpi):
-        source = np.ones((5, 4))
-        with pytest.raises(CommunicationError):
-            mpi.rget_rows(0, 1, source, [(4, 3)], label="r")
-        with pytest.raises(CommunicationError):
-            mpi.rget_rows(0, 1, source, [(-1, 1)], label="r")
-        with pytest.raises(CommunicationError):
-            mpi.rget_rows(0, 1, source, [(0, 0)], label="r")
-
-    def test_empty_chunk_list(self, mpi):
-        fetched = mpi.rget_rows(0, 1, np.ones((5, 4)), [], label="r")
-        assert fetched.shape[0] == 0
-
-    def test_traffic_counts_requests(self, mpi):
-        source = np.ones((5, 4))
-        mpi.rget_rows(0, 1, source, [(0, 2)], label="r")
-        mpi.rget_rows(0, 2, source, [(1, 1)], label="r")
-        assert mpi.traffic.onesided_requests == 2
-        assert mpi.traffic.onesided_bytes == 3 * 4 * 8
-
-
 class TestRgetRowChunks:
-    """The vectorised array-chunk rget against the list-chunk original."""
+    """The array-chunk rget: coalesced ``(offsets, sizes)`` chunks."""
 
     def _arrays(self, chunks):
         offsets, sizes = zip(*chunks)
@@ -272,24 +207,20 @@ class TestRgetRowChunks:
             np.array(sizes, dtype=np.int64),
         )
 
-    def test_matches_rget_rows(self, mpi, small_machine):
-        from repro.cluster import Cluster
-
+    def test_moves_the_chunk_slices_in_one_request(self, mpi):
         source = np.arange(40.0).reshape(10, 4)
         chunks = [(2, 2), (6, 1), (8, 2)]
-        ref_mpi = SimMPI(Cluster(small_machine))
-        want = ref_mpi.rget_rows(0, 1, source, chunks, label="r")
         got = mpi.rget_row_chunks(
             0, 1, source, *self._arrays(chunks), label="r"
         )
-        np.testing.assert_array_equal(got, want)
-        assert mpi.traffic.onesided_bytes == ref_mpi.traffic.onesided_bytes
-        assert (
-            mpi.traffic.onesided_requests
-            == ref_mpi.traffic.onesided_requests
+        np.testing.assert_array_equal(got, source[[2, 3, 6, 8, 9]])
+        nbytes = 5 * 4 * 8
+        assert mpi.traffic.onesided_bytes == nbytes
+        assert mpi.traffic.onesided_requests == 1
+        assert mpi.cluster.node(0).time == mpi.network.rget_time(
+            nbytes, n_chunks=3
         )
-        assert mpi.cluster.node(0).time == ref_mpi.cluster.node(0).time
-        assert mpi.events[-1] == ref_mpi.events[-1]
+        assert mpi.events[-1] == CommEvent("rget", 1, 0, nbytes, "r:3chunks")
 
     def test_precomputed_rows_used(self, mpi):
         source = np.arange(20.0).reshape(5, 4)
@@ -350,94 +281,61 @@ class TestRgetRowChunks:
         assert mpi.traffic.onesided_requests == 0
 
 
-class TestGetBlock:
-    def test_self_block_free(self, mpi):
-        block = np.ones((3, 3))
-        out = mpi.get_block(1, 1, block, label="g")
-        assert out is block
-        assert mpi.traffic.onesided_requests == 0
-
-    def test_remote_block_charged(self, mpi):
-        block = np.ones((3, 3))
-        mpi.get_block(0, 1, block, label="g")
-        assert mpi.traffic.onesided_bytes == block.nbytes
-        assert mpi.cluster.node(0).time > 0
-
-
-class TestGroupAllgather:
-    def test_returns_blocks_in_member_order(self, mpi):
-        blocks = blocks_for(mpi)[:2]
-        out = mpi.group_allgather(blocks, [1, 3], label="B")
-        for got, want in zip(out, blocks):
-            np.testing.assert_array_equal(got, want)
-
-    def test_only_member_clocks_advance(self, mpi):
-        mpi.group_allgather(blocks_for(mpi)[:2], [1, 3], label="B")
-        assert mpi.cluster.node(1).time > 0
-        assert mpi.cluster.node(3).time > 0
-        assert mpi.cluster.node(0).time == 0
-        assert mpi.cluster.node(2).time == 0
-
-    def test_memory_charged_to_members_only(self, mpi):
-        blocks = blocks_for(mpi)[:2]
-        mpi.group_allgather(blocks, [0, 2], label="B")
-        foreign = blocks[0].nbytes  # each member misses one block
-        assert mpi.cluster.node(0).memory.allocations()["B"] == foreign
-        assert "B" not in mpi.cluster.node(1).memory.allocations()
-
-    def test_payload_counted_once(self, mpi):
-        blocks = blocks_for(mpi)[:2]
-        mpi.group_allgather(blocks, [0, 1], label="B", dim="row")
-        total = sum(b.nbytes for b in blocks)
-        assert mpi.traffic.collective_bytes == total
-        assert mpi.traffic.collective_ops == 1
-        assert mpi.traffic.dim_bytes == {"row": total}
-
-    def test_group_cost_below_flat_cost(self, small_machine):
-        # The grid win: the ring is paid at the group size, not p.
-        flat = SimMPI(Cluster(small_machine))
-        flat.allgather(blocks_for(flat), label="B")
-        grouped = SimMPI(Cluster(small_machine))
-        grouped.group_allgather(
-            blocks_for(grouped)[:2], [0, 1], label="B"
-        )
-        assert grouped.cluster.node(0).time < flat.cluster.node(0).time
-
-    def test_wrong_block_count(self, mpi):
-        with pytest.raises(CommunicationError):
-            mpi.group_allgather([np.zeros((2, 2))], [0, 1], label="B")
-
-
 class TestGroupAllreduce:
+    """The partial-``C`` allreduce's accounting, over one group."""
+
+    @staticmethod
+    def _grid(group, dim=""):
+        return SimpleNamespace(
+            reduce_groups=lambda: [group], reduce_dim=dim
+        )
+
     def test_costs_returned_per_member(self, mpi):
-        costs = mpi.group_allreduce([0, 2, 3], 960, label="C")
-        assert len(costs) == 3
-        assert all(c > 0 for c in costs)
+        seconds = reduction_seconds(
+            self._grid([0, 2, 3]), RowPartition(30, 1), 4, mpi.network,
+            np.zeros(4),
+        )
+        assert all(seconds[[0, 2, 3]] > 0)
 
     def test_singleton_group_is_free(self, mpi):
-        assert mpi.group_allreduce([1], 960, label="C") == [0.0]
+        book_reduction(self._grid([1]), RowPartition(30, 1), 4, mpi.traffic)
         assert mpi.traffic.collective_bytes == 0
         assert mpi.traffic.collective_ops == 0
         assert mpi.traffic.dim_bytes == {}
+        assert reduction_seconds(
+            self._grid([1]), RowPartition(30, 1), 4, mpi.network,
+            np.zeros(4),
+        ).tolist() == [0.0] * 4
 
     def test_payload_counted_once(self, mpi):
-        mpi.group_allreduce([0, 1], 960, label="C", dim="fiber")
+        book_reduction(
+            self._grid([0, 1], "fiber"), RowPartition(30, 1), 4,
+            mpi.traffic,
+        )
         assert mpi.traffic.collective_bytes == 960
         assert mpi.traffic.collective_ops == 1
         assert mpi.traffic.dim_bytes == {"fiber": 960}
 
     def test_ring_traffic_per_member(self, mpi):
         # Each member receives 2 (n-1)/n of the buffer over the ring.
-        mpi.group_allreduce([0, 1, 2], 900, label="C")
-        expected = 2 * 900 * 2 // 3
+        book_reduction(
+            self._grid([0, 1, 2]), RowPartition(30, 1), 4, mpi.traffic,
+            log=mpi._log,
+        )
+        expected = 2 * 960 * 2 // 3
         assert mpi.traffic.per_node_recv_bytes[0] == expected
         assert mpi.traffic.per_node_recv_bytes[3] == 0
+        assert [e.destination for e in mpi.events] == [0, 1, 2]
+        assert {e.kind for e in mpi.events} == {"allreduce"}
 
     def test_only_member_clocks_advance(self, mpi):
-        mpi.group_allreduce([0, 3], 960, label="C")
-        assert mpi.cluster.node(0).time > 0
-        assert mpi.cluster.node(3).time > 0
-        assert mpi.cluster.node(1).time == 0
+        # Members meet at the group barrier, then pay the ring.
+        seconds = reduction_seconds(
+            self._grid([0, 3]), RowPartition(30, 1), 4, mpi.network,
+            np.array([1.0, 5.0, 0.0, 0.5]),
+        )
+        ring = mpi.network.allreduce_time(960, 2)
+        assert seconds.tolist() == [ring, 0.0, 0.0, 0.5 + ring]
 
 
 class TestAbsorb:
@@ -465,15 +363,14 @@ class TestAbsorb:
 
     def test_sub_dim_bytes_merge(self, mpi):
         sub = self._sub()
-        sub.group_allreduce([0, 1], 100, label="C", dim="fiber")
+        sub.traffic.add_dim_bytes("fiber", 100)
         mpi.absorb(sub, ranks=[0, 2], dim="row")
         assert mpi.traffic.dim_bytes["fiber"] == 100
 
     def test_events_replayed_with_remap(self, mpi):
         sub = self._sub()
-        sub.sendrecv_shift(
-            [np.ones((1, 2)), np.ones((1, 2))], shift=1, label="s"
-        )
+        sub.multicast(1, np.ones((1, 2)), [0], label="s")
+        sub.multicast(0, np.ones((1, 2)), [1], label="s")
         before = len(mpi.events)
         mpi.absorb(sub, ranks=[1, 3], dim="row")
         replayed = mpi.events[before:]
@@ -511,8 +408,11 @@ class TestDimBytes:
 
 class TestTrafficStats:
     def test_total_bytes(self, mpi):
-        mpi.sendrecv_shift(blocks_for(mpi), shift=1, label="s")
+        mpi.traffic.p2p_bytes += 64
         mpi.multicast(0, np.ones((2, 2)), [1], label="d")
+        mpi.rget_row_chunks(
+            2, 0, np.ones((4, 2)), np.array([1]), np.array([2]), label="r"
+        )
         t = mpi.traffic
         assert t.total_bytes == t.p2p_bytes + t.collective_bytes + t.onesided_bytes
 
@@ -521,6 +421,3 @@ class TestTrafficStats:
         assert mpi.traffic.per_node_recv_bytes[1] == 32
         assert mpi.traffic.per_node_recv_bytes[0] == 0
 
-    def test_advance_all(self, mpi):
-        mpi.advance_all(0.5)
-        assert all(n.time == 0.5 for n in mpi.cluster.nodes)

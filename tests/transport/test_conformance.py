@@ -151,7 +151,9 @@ def test_shm_repeats_average_the_wall_clock(problem):
     ids=lambda g: g.cache_token(),
 )
 @pytest.mark.parametrize(
-    "factory", [TwoFace, lambda: DenseShifting(2)], ids=["TwoFace", "DS2"]
+    "factory",
+    [TwoFace, AllGather, AsyncCoarse, lambda: DenseShifting(2)],
+    ids=["TwoFace", "Allgather", "AsyncCoarse", "DS2"],
 )
 def test_shm_matches_sim_on_grids(grid, factory):
     A = erdos_renyi(96, 96, 600, seed=3)
@@ -251,13 +253,14 @@ def test_shm_fault_conformance_on_grid():
                            rget_backoff_base=1.0e-6),
     )
     grid = Grid15D(p_r=4, c=2)
-    sim = TwoFace().run(A, B, machine, grid=grid)
-    shm = TwoFace().run(
-        A, B, machine, grid=grid, transport=ShmTransport(processes=2)
-    )
-    assert np.allclose(sim.C, shm.C, rtol=0.0, atol=1e-12)
-    if sim.extras["resilience"]["rechunked_stripes"] == 0:
-        assert_traffic_equal(sim, shm)
+    for factory in (TwoFace, AsyncCoarse):
+        sim = factory().run(A, B, machine, grid=grid)
+        shm = factory().run(
+            A, B, machine, grid=grid, transport=ShmTransport(processes=2)
+        )
+        assert np.allclose(sim.C, shm.C, rtol=0.0, atol=1e-12)
+        if sim.extras["resilience"]["rechunked_stripes"] == 0:
+            assert_traffic_equal(sim, shm)
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,7 @@ class TestExactness:
                     continue
                 if not pred.feasible:
                     continue
-                rel = abs(pred.seconds - result.seconds) / result.seconds
-                if rel > 1e-9:
+                if pred.seconds != result.seconds:
                     mismatches.append(
                         (pred.label, pred.seconds, result.seconds)
                     )
